@@ -17,10 +17,9 @@ vet:
 # concurrency tests (TestConcurrentQueriesFileBacked hammering the sharded
 # row cache + telemetry over a File-backed U, and the graceful-shutdown
 # drain test) exercise the shared counters and both parallel pipelines
-# under it. The race detector is ~5-10x slower, so give packages more than
-# the default 10m.
+# under it.
 race:
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race ./...
 
 # fuzz-smoke gives each format fuzzer a short budget on every check run:
 # FuzzOpen chews on .smx headers/pages, FuzzReadLabeled on .sqz containers.

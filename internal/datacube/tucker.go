@@ -14,8 +14,8 @@ import (
 // chosen to minimize squared error.
 //
 // Decompose computes the HOSVD initialization (per-mode eigenvectors of
-// the unfolding Gram matrices, using the same Jacobi machinery as the 2-d
-// path) followed by optional HOOI refinement sweeps.
+// the unfolding Gram matrices, using the same tridiagonal-QL SymEigen as
+// the 2-d path) followed by optional HOOI refinement sweeps.
 type Tucker struct {
 	d1, d2, d3 int
 	r1, r2, r3 int

@@ -13,22 +13,22 @@ import (
 	"seqstore/internal/svd"
 )
 
-// RandSVDConfig sizes the sketch-compressor harness: it races the three
-// pass-1 factor algorithms (full Jacobi on the Gram matrix, top-k subspace
-// iteration on the Gram matrix, and the streaming randomized sketch) on the
-// two seed datasets plus one deliberately wide synthetic matrix, then
+// RandSVDConfig sizes the sketch-compressor harness: it races the two
+// pass-1 factor algorithms (the full eigendecomposition of the Gram matrix
+// and the streaming randomized sketch) on the two seed datasets plus one
+// deliberately wide synthetic matrix, then
 // compresses with each and scores the reconstruction, so the O(M·(k+p))
 // sketch path's wall-clock and accuracy trade-off is tracked in
 // results/bench_randsvd.json across PRs.
 type RandSVDConfig struct {
-	PhoneN     int   // rows of the phone dataset (M=366)
-	SynthN     int   // rows of the synthetic wide matrix
-	SynthM     int   // columns of the synthetic wide matrix — the "long sequences" regime
-	Rank       int   // cutoff k compared across all paths
-	PowerIters int   // randomized refinement passes (0 = library default)
-	Workers    int   // worker goroutines (0 = all CPUs)
-	JacobiMaxM int   // skip the O(M³) gram_jacobi path when M exceeds this
-	Seed       int64 // synthetic data seed
+	PhoneN        int   // rows of the phone dataset (M=366)
+	SynthN        int   // rows of the synthetic wide matrix
+	SynthM        int   // columns of the synthetic wide matrix — the "long sequences" regime
+	Rank          int   // cutoff k compared across all paths
+	PowerIters    int   // randomized refinement passes (0 = library default)
+	Workers       int   // worker goroutines (0 = all CPUs)
+	FullEigenMaxM int   // skip the O(M³) gram_full path when M exceeds this
+	Seed          int64 // synthetic data seed
 }
 
 // DefaultRandSVDConfig is the acceptance configuration: the wide matrix has
@@ -37,13 +37,13 @@ type RandSVDConfig struct {
 func DefaultRandSVDConfig() RandSVDConfig {
 	return RandSVDConfig{
 		PhoneN: 500, SynthN: 400, SynthM: 5000,
-		Rank: 8, PowerIters: 0, Workers: 0, JacobiMaxM: 512, Seed: 7,
+		Rank: 8, PowerIters: 0, Workers: 0, FullEigenMaxM: 512, Seed: 7,
 	}
 }
 
 // RandSVDPath is one (dataset, factor algorithm) cell.
 type RandSVDPath struct {
-	Path            string  `json:"path"` // gram_jacobi | gram_topk | randomized
+	Path            string  `json:"path"` // gram_full | randomized
 	FactorNs        int64   `json:"factor_ns"`
 	TotalNs         int64   `json:"total_ns"`
 	FactorPasses    int64   `json:"factor_passes"`
@@ -52,7 +52,7 @@ type RandSVDPath struct {
 	AllocBytes      uint64  `json:"alloc_bytes"`
 	WorkingSetBytes int64   `json:"working_set_bytes"` // analytic factor-stage state
 	RMSPE           float64 `json:"rmspe"`
-	FactorSpeedup   float64 `json:"factor_speedup"` // gram_topk factor time / this factor time
+	FactorSpeedup   float64 `json:"factor_speedup"` // gram_full factor time / this factor time (0 when gram_full is skipped)
 }
 
 // RandSVDDataset groups the raced paths on one matrix.
@@ -115,12 +115,13 @@ func WideLowRank(n, m, r int, seed int64) *linalg.Matrix {
 }
 
 // randSVDPathNames returns the factor paths to race on an M-column dataset:
-// full Jacobi is O(M³) and is skipped past cfg.JacobiMaxM.
+// the full eigendecomposition is O(M³) and is skipped past
+// cfg.FullEigenMaxM.
 func randSVDPathNames(m int, cfg RandSVDConfig) []string {
-	if m > cfg.JacobiMaxM {
-		return []string{"gram_topk", "randomized"}
+	if m > cfg.FullEigenMaxM {
+		return []string{"randomized"}
 	}
-	return []string{"gram_jacobi", "gram_topk", "randomized"}
+	return []string{"gram_full", "randomized"}
 }
 
 // measureRandSVDPath times one factor algorithm twice over fresh sources:
@@ -133,10 +134,8 @@ func measureRandSVDPath(x *linalg.Matrix, path string, k int, cfg RandSVDConfig)
 
 	factors := func(src matio.RowSource) (*svd.Factors, error) {
 		switch path {
-		case "gram_jacobi":
+		case "gram_full":
 			return svd.ComputeFactorsWorkers(src, cfg.Workers)
-		case "gram_topk":
-			return svd.ComputeFactorsKWorkers(src, k, cfg.Workers)
 		case "randomized":
 			return svd.ComputeFactorsRandWorkers(src, ropts)
 		}
@@ -200,14 +199,14 @@ func measureRandSVDPath(x *linalg.Matrix, path string, k int, cfg RandSVDConfig)
 }
 
 // BenchRandSVD races the factor paths on each dataset and renders a table
-// to w. Speedups are factor-stage wall clock relative to gram_topk — the
-// strongest in-memory baseline — on the same dataset.
+// to w. Speedups are factor-stage wall clock relative to gram_full on the
+// same dataset.
 func BenchRandSVD(cfg RandSVDConfig, w io.Writer) (*RandSVDResult, error) {
 	if cfg.Rank < 1 {
 		cfg.Rank = DefaultRandSVDConfig().Rank
 	}
-	if cfg.JacobiMaxM == 0 {
-		cfg.JacobiMaxM = DefaultRandSVDConfig().JacobiMaxM
+	if cfg.FullEigenMaxM == 0 {
+		cfg.FullEigenMaxM = DefaultRandSVDConfig().FullEigenMaxM
 	}
 	datasets := []struct {
 		name string
@@ -234,7 +233,7 @@ func BenchRandSVD(cfg RandSVDConfig, w io.Writer) (*RandSVDResult, error) {
 		}
 		var baseNs int64
 		for _, p := range ds.Paths {
-			if p.Path == "gram_topk" {
+			if p.Path == "gram_full" {
 				baseNs = p.FactorNs
 			}
 		}
@@ -243,11 +242,15 @@ func BenchRandSVD(cfg RandSVDConfig, w io.Writer) (*RandSVDResult, error) {
 			if baseNs > 0 && p.FactorNs > 0 {
 				p.FactorSpeedup = float64(baseNs) / float64(p.FactorNs)
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.1f\t%d\t%d\t%s\t%.4f\t%.2fx\n",
+			speedup := "-" // no gram_full baseline on this dataset
+			if p.FactorSpeedup > 0 {
+				speedup = fmt.Sprintf("%.2fx", p.FactorSpeedup)
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.1f\t%d\t%d\t%s\t%.4f\t%s\n",
 				ds.Dataset, p.Path,
 				float64(p.FactorNs)/1e6, float64(p.TotalNs)/1e6,
 				p.Passes, p.RowReads, fmtBytes(p.WorkingSetBytes),
-				p.RMSPE, p.FactorSpeedup)
+				p.RMSPE, speedup)
 		}
 		res.Datasets = append(res.Datasets, ds)
 	}

@@ -25,11 +25,11 @@ func TestRandomizedMatchesGramRMSPE(t *testing.T) {
 		{"wide", func() *matio.Mem { return matio.NewMem(WideLowRank(90, 700, k, 11)) }},
 	}
 	for _, d := range datasets {
-		// Gram baseline: top-k subspace iteration on C, then the standard
-		// two-pass compression. Worker-count invariance of this path is
+		// Gram baseline: the full eigendecomposition of C, then the
+		// standard two-pass compression at cutoff k. Worker-count invariance of this path is
 		// already pinned elsewhere, so one build suffices.
 		gsrc := d.x()
-		f, err := svd.ComputeFactorsKWorkers(gsrc, k, 1)
+		f, err := svd.ComputeFactorsWorkers(gsrc, 1)
 		if err != nil {
 			t.Fatalf("%s: gram factors: %v", d.name, err)
 		}
@@ -71,7 +71,7 @@ func TestRandomizedMatchesGramRMSPE(t *testing.T) {
 func TestBenchRandSVDSmall(t *testing.T) {
 	cfg := RandSVDConfig{
 		PhoneN: 120, SynthN: 60, SynthM: 600,
-		Rank: 6, Workers: 1, JacobiMaxM: 400, Seed: 7,
+		Rank: 6, Workers: 1, FullEigenMaxM: 600, Seed: 7,
 	}
 	res, err := BenchRandSVD(cfg, nil)
 	if err != nil {
@@ -81,12 +81,8 @@ func TestBenchRandSVDSmall(t *testing.T) {
 		t.Fatalf("datasets = %d, want 3", len(res.Datasets))
 	}
 	for _, ds := range res.Datasets {
-		wantPaths := 3
-		if ds.M > cfg.JacobiMaxM {
-			wantPaths = 2 // Jacobi skipped on wide matrices
-		}
-		if len(ds.Paths) != wantPaths {
-			t.Fatalf("%s: %d paths, want %d", ds.Dataset, len(ds.Paths), wantPaths)
+		if len(ds.Paths) != 2 {
+			t.Fatalf("%s: %d paths, want 2", ds.Dataset, len(ds.Paths))
 		}
 		var gram, randomized *RandSVDPath
 		for i := range ds.Paths {
@@ -95,14 +91,14 @@ func TestBenchRandSVDSmall(t *testing.T) {
 				t.Errorf("%s/%s: non-positive timings", ds.Dataset, p.Path)
 			}
 			switch p.Path {
-			case "gram_topk":
+			case "gram_full":
 				gram = p
 			case "randomized":
 				randomized = p
 			}
 		}
 		if gram == nil || randomized == nil {
-			t.Fatalf("%s: missing gram_topk or randomized", ds.Dataset)
+			t.Fatalf("%s: missing gram_full or randomized", ds.Dataset)
 		}
 		if randomized.Passes != 2 {
 			t.Errorf("%s: randomized compression took %d passes, want 2",

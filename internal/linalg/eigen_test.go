@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -99,30 +100,48 @@ func TestSymEigenZeroMatrix(t *testing.T) {
 	}
 }
 
-// checkDecomposition verifies S ≈ V·diag(λ)·Vᵀ and column orthonormality.
-func checkDecomposition(t *testing.T, s *Matrix, eig *Eigen, tol float64) {
+// checkDecomposition asserts the solver's accuracy contract on every pair:
+// ‖S·v − λ·v‖ ≤ 1e-9·max(max|λ|, 1), VᵀV within 1e-12 of I, and the
+// eigenvalues in decreasing order.
+func checkDecomposition(t *testing.T, name string, s *Matrix, eig *Eigen) {
 	t.Helper()
-	if e := OrthonormalityError(eig.Vectors); e > tol {
-		t.Errorf("VᵀV deviates from I by %g", e)
-	}
-	recon := Mul(Mul(eig.Vectors, Diag(eig.Values)), eig.Vectors.T())
-	if !Equal(recon, s, tol*math.Max(s.MaxAbs(), 1)) {
-		t.Errorf("V·Λ·Vᵀ does not reconstruct S (max abs %g)", Sub(recon, s).MaxAbs())
+	n := s.Rows()
+	if len(eig.Values) != n || eig.Vectors.Rows() != n || eig.Vectors.Cols() != n {
+		t.Fatalf("%s: got %d values and %d×%d vectors for n=%d", name,
+			len(eig.Values), eig.Vectors.Rows(), eig.Vectors.Cols(), n)
 	}
 	if !sort.IsSorted(sort.Reverse(sort.Float64Slice(eig.Values))) {
-		t.Errorf("eigenvalues not sorted descending: %v", eig.Values)
+		t.Errorf("%s: eigenvalues not sorted descending", name)
+	}
+	scale := math.Max(math.Max(math.Abs(eig.Values[0]), math.Abs(eig.Values[n-1])), 1)
+	var worst float64
+	for j, lambda := range eig.Values {
+		v := eig.Vectors.Col(j)
+		sv := s.MulVec(v)
+		for i := range sv {
+			sv[i] -= lambda * v[i]
+		}
+		worst = math.Max(worst, Norm2(sv))
+	}
+	orth := OrthonormalityError(eig.Vectors)
+	t.Logf("%s: max residual %.2g at max|λ| %.3g, orthonormality %.2g", name, worst, scale, orth)
+	if worst > 1e-9*scale {
+		t.Errorf("%s: max ‖S·v − λ·v‖ = %g, want ≤ %g", name, worst, 1e-9*scale)
+	}
+	if orth > 1e-12 {
+		t.Errorf("%s: VᵀV deviates from I by %g", name, orth)
 	}
 }
 
 func TestSymEigenRandomDecomposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 3, 5, 10, 40, 100} {
+	for _, n := range []int{1, 2, 3, 5, 10, 40, 50, 100, 366} {
 		s := randSymmetric(rng, n)
 		eig, err := SymEigen(s)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		checkDecomposition(t, s, eig, 1e-8)
+		checkDecomposition(t, fmt.Sprintf("n=%d", n), s, eig)
 	}
 }
 
@@ -201,7 +220,78 @@ func TestSymEigenRepeatedEigenvalues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDecomposition(t, s, eig, 1e-10)
+	checkDecomposition(t, "4·I", s, eig)
+}
+
+// gramOf returns XᵀX for a random (rows×n) X: the PSD shape pass 1 feeds
+// the solver.
+func gramOf(rng *rand.Rand, rows, n int) *Matrix {
+	x := randMatrix(rng, rows, n)
+	return Mul(x.T(), x)
+}
+
+// rotated returns W·diag(values)·Wᵀ for a random orthogonal W.
+func rotated(values []float64, seed uint64) *Matrix {
+	n := len(values)
+	f, err := QRFactor(GaussianSketch(n, n, seed))
+	if err != nil {
+		panic(err)
+	}
+	w := f.ThinQ()
+	return Mul(Mul(w, Diag(values)), w.T())
+}
+
+func TestSymEigenAccuracy(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tri := NewMatrix(40, 40)
+	for i := 0; i < 40; i++ {
+		tri.Set(i, i, float64(i%7)-3)
+		if i > 0 {
+			tri.Set(i, i-1, 1+float64(i%3))
+			tri.Set(i-1, i, 1+float64(i%3))
+		}
+	}
+	clustered := make([]float64, 30)
+	for i := range clustered {
+		clustered[i] = 5 + 1e-10*float64(i%4)
+	}
+	clustered[0] = 50
+	lowRank := randMatrix(rng, 3, 40)
+	cases := []struct {
+		name string
+		s    *Matrix
+	}{
+		{"gram n=366", gramOf(rng, 400, 366)},
+		{"diagonal", Diag([]float64{-2, 7, 0, 3.5, -9, 1})},
+		{"tridiagonal", tri},
+		{"clustered", rotated(clustered, 9)},
+		{"rank-deficient PSD", Mul(lowRank.T(), lowRank)},
+	}
+	for _, c := range cases {
+		eig, err := SymEigen(c.s)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkDecomposition(t, c.name, c.s, eig)
+	}
+}
+
+// A rank-r PSD matrix must come back with exactly r nonzero eigenvalues:
+// the roundoff eigenvalues inside the solver's backward error are zeroed.
+func TestSymEigenRankDeficientZeroesRoundoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, r := range []int{1, 3, 10} {
+		b := randMatrix(rng, r, 60)
+		eig, err := SymEigen(Mul(b.T(), b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range eig.Values {
+			if (j < r) != (v > 0) {
+				t.Fatalf("rank %d: Values[%d] = %g", r, j, v)
+			}
+		}
+	}
 }
 
 func TestOrthonormalityErrorDetects(t *testing.T) {
@@ -213,3 +303,16 @@ func TestOrthonormalityErrorDetects(t *testing.T) {
 		t.Error("identity should be perfectly orthonormal")
 	}
 }
+
+func benchmarkSymEigen(b *testing.B, m int) {
+	s := gramOf(rand.New(rand.NewSource(5)), m+34, m)
+	for b.Loop() {
+		if _, err := SymEigen(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSymEigenM128(b *testing.B)  { benchmarkSymEigen(b, 128) }
+func BenchmarkSymEigenM366(b *testing.B)  { benchmarkSymEigen(b, 366) }
+func BenchmarkSymEigenM1000(b *testing.B) { benchmarkSymEigen(b, 1000) }

@@ -40,17 +40,11 @@ func TestSVDViaGramMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ComputeSVD: %v", err)
 		}
-		// ComputeSVD always Grams the column side; on wide matrices the
-		// √λ amplification of Jacobi roundoff can leave it with spurious
-		// tiny singular values beyond the true rank, so compare only the
-		// shared prefix and require our rank to respect min(m, n).
-		if maxRank := min(c.m, c.n); len(got.Sigma) > maxRank {
-			t.Fatalf("%d×%d: rank %d exceeds min dim %d", c.m, c.n, len(got.Sigma), maxRank)
+		if len(got.Sigma) != min(c.m, c.n) || len(want.Sigma) != len(got.Sigma) {
+			t.Fatalf("%d×%d: rank %d, ComputeSVD rank %d, want %d", c.m, c.n,
+				len(got.Sigma), len(want.Sigma), min(c.m, c.n))
 		}
 		for j := range got.Sigma {
-			if j >= len(want.Sigma) {
-				break
-			}
 			if !almostEqual(got.Sigma[j], want.Sigma[j], 1e-8*math.Max(want.Sigma[0], 1)) {
 				t.Errorf("%d×%d: σ[%d] = %g, want %g", c.m, c.n, j, got.Sigma[j], want.Sigma[j])
 			}
@@ -89,7 +83,7 @@ func TestSVDViaGramEmpty(t *testing.T) {
 }
 
 // TestNystromEigenRecoversSpectrum checks the single-pass recovery against the
-// exact Jacobi eigendecomposition: a PSD matrix with a fast-decaying spectrum,
+// exact SymEigen decomposition: a PSD matrix with a fast-decaying spectrum,
 // sketched with oversampling, must give back the dominant eigenpairs.
 func TestNystromEigenRecoversSpectrum(t *testing.T) {
 	m, k, b := 40, 4, 12
@@ -120,9 +114,6 @@ func TestNystromEigenRecoversSpectrum(t *testing.T) {
 	got, err := NystromEigen(y, omega)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !got.Converged {
-		t.Error("NystromEigen reported non-convergence")
 	}
 	want, err := SymEigen(c)
 	if err != nil {

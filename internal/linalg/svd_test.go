@@ -132,6 +132,32 @@ func TestSVDRankDeficient(t *testing.T) {
 	}
 }
 
+// ComputeSVD Grams the column side even on wide matrices, where C = XᵀX
+// has cols − rows exactly-zero eigenvalues. Roundoff in those must not
+// surface as singular values: the rank is at most min(rows, cols), and
+// exact for low-rank outer products.
+func TestSVDRankOnWideMatrices(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	cases := []struct{ rows, cols, rank int }{
+		{5, 40, 5}, {10, 120, 10}, {30, 366, 30}, {40, 5, 5}, {366, 30, 30},
+		{5, 40, 1}, {10, 120, 1}, {30, 366, 1},
+		{5, 40, 3}, {10, 120, 3}, {30, 366, 3}, {366, 30, 3},
+	}
+	for _, c := range cases {
+		x := randMatrix(rng, c.rows, c.cols)
+		if c.rank < min(c.rows, c.cols) {
+			x = Mul(randMatrix(rng, c.rows, c.rank), randMatrix(rng, c.rank, c.cols))
+		}
+		s, err := ComputeSVD(x)
+		if err != nil {
+			t.Fatalf("%d×%d rank %d: %v", c.rows, c.cols, c.rank, err)
+		}
+		if s.Rank() != c.rank {
+			t.Errorf("%d×%d rank-%d input: Rank() = %d", c.rows, c.cols, c.rank, s.Rank())
+		}
+	}
+}
+
 func TestSVDZeroMatrix(t *testing.T) {
 	s, err := ComputeSVD(NewMatrix(5, 3))
 	if err != nil {

@@ -33,7 +33,7 @@ import (
 // Compressor names accepted by the facade and SVDD layers.
 const (
 	// CompressorGram is the paper's pass-1: accumulate the full M×M Gram
-	// matrix C = XᵀX and eigendecompose it (Jacobi or subspace iteration).
+	// matrix C = XᵀX and eigendecompose it (linalg.SymEigen).
 	CompressorGram = "gram"
 	// CompressorRandomized is the sketch path in this file: O(M·(k+p))
 	// memory, never building C.
@@ -44,9 +44,7 @@ const (
 // rank: the sketch has b = k + p columns.
 const DefaultOversample = 8
 
-// DefaultSketchSeed seeds Ω when RandOptions.Seed is zero. It is distinct
-// from the subspace-iteration start-basis seed so the two randomized paths
-// cannot accidentally share structure.
+// DefaultSketchSeed seeds Ω when RandOptions.Seed is zero.
 const DefaultSketchSeed = 0x0c0ffeed00d5eed5
 
 // RandOptions configures the randomized compression path.
