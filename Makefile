@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check fuzz-smoke golden-check metrics-golden randsvd-smoke ingest-smoke load-smoke cluster-smoke obs-smoke bench-parallel serve-bench query-bench trace-bench randsvd-bench ingest-bench load-bench cluster-bench obstrace-bench experiments
+.PHONY: build test vet race check fuzz-smoke golden-check metrics-golden randsvd-smoke ingest-smoke load-smoke cluster-smoke obs-smoke perfbench-smoke bench-parallel serve-bench query-bench trace-bench randsvd-bench ingest-bench load-bench cluster-bench obstrace-bench experiments
 
 build:
 	$(GO) build ./...
@@ -22,11 +22,14 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke gives each format fuzzer a short budget on every check run:
-# FuzzOpen chews on .smx headers/pages, FuzzReadLabeled on .sqz containers.
-# `go test -fuzz` accepts one target per invocation, hence two runs.
+# FuzzOpen chews on .smx headers/pages, FuzzReadLabeled on .sqz containers,
+# FuzzDecodePartial on the base64 SQP1 partials the proxy decodes from
+# shard responses. `go test -fuzz` accepts one target per invocation, hence
+# one run each.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
 	$(GO) test -run FuzzReadLabeled -fuzz FuzzReadLabeled -fuzztime 10s ./internal/store
+	$(GO) test -run FuzzDecodePartial -fuzz FuzzDecodePartial -fuzztime 10s ./internal/api
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries checked into testdata must keep loading
@@ -97,7 +100,13 @@ obs-smoke:
 	$(GO) run ./cmd/experiments -n 150 -obstrace-iters 30 -obstrace-assert \
 		-obstrace-out $$tmp obstrace && rm -f $$tmp
 
-check: vet race golden-check metrics-golden fuzz-smoke randsvd-smoke ingest-smoke load-smoke cluster-smoke obs-smoke
+# perfbench-smoke vets and tests the repository benchmark, a separate
+# module the root `go build ./...` never compiles, so a change to the
+# server, cluster or api packages that breaks the benchmark fails here.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: vet race golden-check metrics-golden fuzz-smoke randsvd-smoke ingest-smoke load-smoke cluster-smoke obs-smoke perfbench-smoke
 
 # bench-parallel runs the worker-count sub-benchmarks for the three sharded
 # hot loops. The cmd/experiments "parallel" harness records the same loops

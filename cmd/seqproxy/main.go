@@ -19,7 +19,7 @@
 //
 //	/v1/cell, /v1/row        routed to the shard owning row i
 //	/v1/cells, /v1/rows      fanned out by shard, reassembled in request order
-//	/v1/agg, /v1/aggregate,  scattered: the selection splits by shard row
+//	/v1/aggregate,           scattered: the selection splits by shard row
 //	/v1/aggregate/batch      range, each shard evaluates its fragment into
 //	                         an exact mergeable partial, and the proxy
 //	                         gathers in shard order — the merged value is
@@ -44,9 +44,10 @@
 // Every response carries X-Request-Id and the full X-Cost-* ledger, where
 // the proxy's counts are the sums of the per-shard ledgers it gathered —
 // the paper's disk-access cost model survives the network hop. The proxy
-// propagates a W3C-style traceparent on every shard call; store nodes
-// adopt it and return compact span summaries that are folded into the
-// proxy's trace.
+// runs the store node's request middleware (internal/api): it adopts a
+// valid inbound W3C-style traceparent just as a store node does, and
+// propagates its own on every shard call; store nodes adopt it and return
+// compact span summaries that are folded into the proxy's trace.
 //
 // A dead or stalled store node turns into a typed 503 with the failing
 // shards named in the error detail, within -shard-timeout; idempotent
@@ -63,37 +64,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"seqstore/internal/cluster"
+	"seqstore/internal/server"
 )
-
-func newLogger(format, level string) (*slog.Logger, error) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info", "":
-		lv = slog.LevelInfo
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch strings.ToLower(format) {
-	case "json", "":
-		return slog.New(slog.NewJSONHandler(os.Stdout, opts)), nil
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stdout, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want json|text)", format)
-	}
-}
 
 func main() {
 	fs := flag.NewFlagSet("seqproxy", flag.ExitOnError)
@@ -120,7 +96,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "seqproxy: -topology is required")
 		os.Exit(1)
 	}
-	logger, err := newLogger(*logFormat, *logLevel)
+	logger, err := server.NewLogger(os.Stdout, *logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seqproxy: %v\n", err)
 		os.Exit(1)
@@ -173,27 +149,8 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(l); err != nil && err != http.ErrServerClosed {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-	select {
-	case err := <-errc:
-		if err != nil {
-			log.Fatalf("seqproxy: %v", err)
-		}
-		return
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		srv.Close()
-		log.Fatalf("seqproxy: shutdown: %v", err)
+	if err := server.RunHTTP(ctx, srv, l, *shutdownTimeout); err != nil {
+		log.Fatalf("seqproxy: %v", err)
 	}
 	logger.Info("proxy stopped")
 }

@@ -5,66 +5,72 @@
 //
 //	seqserver -store phone2000.sqz -addr :8080 -cache-rows 4096
 //
-// Endpoints (all GET; non-GET verbs get 405 with an Allow header). The
-// canonical paths live under /v1/; the bare legacy paths still answer but
-// carry Deprecation and Link headers pointing at their /v1/ successor:
+// Endpoints, all under /v1/ (each answers one verb; others get 405 with an
+// Allow header, and any other path is a 404):
 //
-//	/v1/info                      store metadata
-//	/v1/cell?i=42&j=180           one reconstructed cell
-//	/v1/cell?row=GHI+Inc.&col=We  the same, by axis labels (when stored)
-//	/v1/cells?at=42:180,42:181    batch cell lookups
-//	/v1/row?i=42                  one reconstructed sequence
-//	/v1/rows?i=0:8,17             batch row reconstruction
-//	/v1/agg?f=avg&rows=0:1000&cols=180:187
-//	                              aggregate over a row/column selection;
-//	                              rows/cols accept "3,17,0:10" specs and
-//	                              default to "all"; plans (V panel + row-run
-//	                              schedule) are memoized in a plan cache
-//	                              sized by -plan-cache
-//	/v1/aggregate                 POST form of /v1/agg; "explain": true adds
-//	                              the chosen plan, plan-cache outcome,
-//	                              row-run schedule and cost estimates next
-//	                              to the executed ledger (no extra disk
-//	                              accesses; exact on a cold store)
-//	/v1/aggregate/batch           POST: N aggregates in one request sharing
-//	                              one pass over the selections' U-row union;
-//	                              body {"queries":[{"f":"sum","rows":"0:64",
-//	                              "cols":"0:24"},...]}, per-item status in
-//	                              the response like /v1/bulk; "explain"
-//	                              per query or batch-wide
-//	/v1/metrics                   per-endpoint latency histograms, row-cache
-//	                              hit rate, disk-access counters, corruption
-//	                              count; ?format=prom renders the same
-//	                              snapshot as Prometheus text
-//	/v1/debug/traces              ring of recently completed request traces
-//	                              with per-request cost ledgers
-//	/v1/healthz                   liveness probe
+//	GET  /v1/info                     store metadata
+//	GET  /v1/cell?i=42&j=180          one reconstructed cell
+//	GET  /v1/cell?row=GHI+Inc.&col=We the same, by axis labels (when stored)
+//	GET  /v1/cells?at=42:180,42:181   batch cell lookups
+//	GET  /v1/row?i=42                 one reconstructed sequence
+//	GET  /v1/rows?i=0:8,17            batch row reconstruction
+//	POST /v1/aggregate                aggregate over a row/column selection,
+//	                                  body {"f":"avg","rows":"0:1000",
+//	                                  "cols":"180:187"}; rows/cols accept
+//	                                  "3,17,0:10" specs and default to
+//	                                  "all"; plans (V panel + row-run
+//	                                  schedule) are memoized in a plan cache
+//	                                  sized by -plan-cache; "explain": true
+//	                                  adds the chosen plan, plan-cache
+//	                                  outcome, row-run schedule and cost
+//	                                  estimates next to the executed ledger
+//	                                  (no extra disk accesses; exact on a
+//	                                  cold store)
+//	POST /v1/aggregate/batch          N aggregates in one request sharing
+//	                                  one pass over the selections' U-row
+//	                                  union; body {"queries":[{"f":"sum",
+//	                                  "rows":"0:64","cols":"0:24"},...]},
+//	                                  per-item status in the response like
+//	                                  /v1/bulk; "explain" per query or
+//	                                  batch-wide
+//	GET  /v1/metrics                  per-endpoint latency histograms,
+//	                                  row-cache hit rate, disk-access
+//	                                  counters, corruption count;
+//	                                  ?format=prom renders the same snapshot
+//	                                  as Prometheus text
+//	GET  /v1/debug/traces             ring of recently completed request
+//	                                  traces with per-request cost ledgers
+//	GET  /v1/healthz                  liveness probe
 //
-// With -writable the store becomes a live ingestion tier and one write
-// endpoint opens up (POST; everything else stays GET):
+// With -writable the store becomes a live ingestion tier and the write
+// endpoint accepts appends (on a read-only store it answers 403):
 //
-//	/v1/bulk                      NDJSON bulk append, one document per line:
-//	                              {"label":"cust-9911","values":[...]} with
-//	                              optional {"create":{}} action lines. The
-//	                              whole request is one WAL fsync; a 201 item
-//	                              is durable across any crash. Appended rows
-//	                              serve immediately (exact, zero disk
-//	                              accesses) and are folded into the
-//	                              compressed segment by a background
-//	                              compactor, which atomically rewrites the
-//	                              -store file and checkpoints the WAL.
+//	POST /v1/bulk                     NDJSON bulk append, one document per
+//	                                  line: {"label":"cust-9911",
+//	                                  "values":[...]} with optional
+//	                                  {"create":{}} action lines. The whole
+//	                                  request is one WAL fsync; a 201 item
+//	                                  is durable across any crash. Appended
+//	                                  rows serve immediately (exact, zero
+//	                                  disk accesses) and are folded into the
+//	                                  compressed segment by a background
+//	                                  compactor, which atomically rewrites
+//	                                  the -store file and checkpoints the
+//	                                  WAL.
 //
 // Every response carries X-Request-Id (echoing a well-formed client value,
 // or a fresh one) and X-Cost-Disk-Accesses, the number of U-row fetches the
-// request cost under the paper's block model.
+// request cost under the paper's block model. A request with a valid
+// traceparent joins the caller's distributed trace and gets X-Trace-Spans.
 //
 // Errors map onto the store's typed taxonomy: bad input and out-of-range
 // indices are 400s, detected on-disk corruption is a 503 (the process
 // keeps serving what it still can), a client gone mid-query logs as 499.
 //
 // The serving layer (timeouts, graceful shutdown, row cache, telemetry)
-// lives in internal/server; this command only parses flags and wires up
-// logging, signal handling and the optional pprof listener.
+// lives in internal/server and the request middleware in internal/api;
+// this command only parses flags and wires up logging, signal handling and
+// the optional pprof listener.
 // SIGINT/SIGTERM drain in-flight requests before exit.
 package main
 
@@ -78,7 +84,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -86,34 +91,6 @@ import (
 	"seqstore/internal/server"
 	"seqstore/internal/store"
 )
-
-// newLogger builds the process logger from the -log-format/-log-level
-// flags. JSON goes to stdout (one object per line, machine-shippable);
-// text is the human-readable development format.
-func newLogger(format, level string) (*slog.Logger, error) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info", "":
-		lv = slog.LevelInfo
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch strings.ToLower(format) {
-	case "json", "":
-		return slog.New(slog.NewJSONHandler(os.Stdout, opts)), nil
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stdout, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want json|text)", format)
-	}
-}
 
 // servePprof starts net/http/pprof on its own listener, registered on an
 // explicit mux so the profiling surface never leaks onto the query API's
@@ -142,7 +119,7 @@ func main() {
 	planCache := fs.Int("plan-cache", 0,
 		"query-plan cache capacity in plans (0 = default 256, negative disables)")
 	queryWorkers := fs.Int("query-workers", 1,
-		"goroutines per /agg evaluation (0 = one per CPU)")
+		"goroutines per aggregate evaluation (0 = one per CPU)")
 	logFormat := fs.String("log-format", "json", "structured log format: json or text")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	slowQuery := fs.Duration("slow-query", 0,
@@ -173,7 +150,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "seqserver: -store is required")
 		os.Exit(1)
 	}
-	logger, err := newLogger(*logFormat, *logLevel)
+	logger, err := server.NewLogger(os.Stdout, *logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seqserver: %v\n", err)
 		os.Exit(1)

@@ -1,10 +1,19 @@
-// Package api is the typed /v1 wire contract shared by every process that
-// speaks it: the single-node server's handlers, the distributed proxy's
-// client and front door, and the httptest suites. One struct per
-// request/response body replaces the handler-local JSON literals that used
-// to be duplicated (and to drift) between the server and its tests; the
-// proxy can round-trip a store node's response through these types without
-// re-marshalling surprises.
+// Package api is the /v1 contract shared by every process that speaks it —
+// the store node (internal/server), the distributed proxy
+// (internal/cluster) and the httptest suites — and the plumbing both
+// servers run it through:
+//
+//   - one struct per request/response body, so the proxy can round-trip a
+//     store node's response without re-marshalling surprises;
+//   - the request parsers and bounds (aggregate bodies and selections,
+//     /v1/cells coordinates, /v1/rows specs, the SQP1 partial codec), so a
+//     request the proxy accepts is one every store node accepts, with the
+//     same status and code for every malformed input;
+//   - the unified {"error":{code,message,request_id}} envelope and the
+//     Classify table mapping the error taxonomy onto HTTP statuses;
+//   - Mux, the one request middleware: request IDs, distributed-trace
+//     adoption, cost headers, 405 handling, the trace ring and the request
+//     log.
 //
 // Values that may be NaN/±Inf — which encoding/json rejects — travel as a
 // null value plus a "nonfinite" marker naming the class; Float and
@@ -118,7 +127,7 @@ type ShardExplain struct {
 	Explain
 }
 
-// AggregateResponse is the /v1/agg and POST /v1/aggregate body. Rows/Cols
+// AggregateResponse is the POST /v1/aggregate body. Rows/Cols
 // report the selection sizes. For Partial requests, Value is absent and
 // Partial carries the base64-encoded mergeable state.
 type AggregateResponse struct {

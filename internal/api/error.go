@@ -39,6 +39,11 @@ type ErrorEnvelope struct {
 	Error ErrorDetail `json:"error"`
 }
 
+// ErrBadRequest is the taxonomy class of malformed client input — an
+// unparseable parameter, body or index spec. Invalidf builds errors of this
+// class.
+var ErrBadRequest = errors.New("bad request")
+
 // StatusClientClosedRequest is the nginx-convention status for a request
 // abandoned by the client (context.Canceled); no standard code exists.
 const StatusClientClosedRequest = 499
@@ -66,6 +71,7 @@ var errTable = []struct {
 	status int
 	code   string
 }{
+	{ErrBadRequest, http.StatusBadRequest, CodeBadRequest},
 	{seqerr.ErrOutOfRange, http.StatusBadRequest, CodeOutOfRange},
 	{seqerr.ErrEmptySelection, http.StatusBadRequest, CodeEmptySelection},
 	{ingest.ErrNotFinite, http.StatusBadRequest, CodeBadRequest},
@@ -93,37 +99,17 @@ func Classify(err error) (status int, code string) {
 // request ID from the request's trace context.
 func WriteError(w http.ResponseWriter, r *http.Request, err error) {
 	status, code := Classify(err)
-	WriteErrorDetail(w, status, ErrorDetail{
-		Code:      code,
-		Message:   err.Error(),
-		RequestID: requestID(r),
-	})
-}
-
-// WriteInvalid writes a 400 bad_request envelope for parse/validation
-// failures that never produced a classifiable error value.
-func WriteInvalid(w http.ResponseWriter, r *http.Request, msg string) {
-	WriteErrorDetail(w, http.StatusBadRequest, ErrorDetail{
-		Code:      CodeBadRequest,
-		Message:   msg,
-		RequestID: requestID(r),
-	})
+	WriteErrorDetail(w, r, status, ErrorDetail{Code: code, Message: err.Error()})
 }
 
 // WriteErrorDetail writes a fully specified error envelope — the escape
 // hatch for callers that need a particular status/code pairing (405 with
-// Allow, the proxy's 503 with shard details).
-func WriteErrorDetail(w http.ResponseWriter, status int, detail ErrorDetail) {
+// Allow, the proxy's 503 with shard details) — stamping the request ID
+// from the request's trace context ("" for untraced requests, which omits
+// the field).
+func WriteErrorDetail(w http.ResponseWriter, r *http.Request, status int, detail ErrorDetail) {
+	detail.RequestID = trace.FromContext(r.Context()).ID()
 	WriteJSON(w, status, ErrorEnvelope{Error: detail})
-}
-
-// requestID extracts the trace request ID from the request context ("" for
-// untraced requests, which omits the field).
-func requestID(r *http.Request) string {
-	if r == nil {
-		return ""
-	}
-	return trace.FromContext(r.Context()).ID()
 }
 
 // WriteJSON encodes body to a buffer first and only then commits the

@@ -29,7 +29,7 @@ import (
 
 // phoneMatrix builds phone-like test data with a couple of all-zero
 // customers so the shard slices exercise the SVDD zero-row flags too.
-func phoneMatrix(t *testing.T, n, m int) *linalg.Matrix {
+func phoneMatrix(t testing.TB, n, m int) *linalg.Matrix {
 	t.Helper()
 	cfg := dataset.DefaultPhoneConfig(n)
 	cfg.M = m
@@ -44,7 +44,7 @@ func phoneMatrix(t *testing.T, n, m int) *linalg.Matrix {
 	return x
 }
 
-func compressStore(t *testing.T, x *linalg.Matrix) *core.Store {
+func compressStore(t testing.TB, x *linalg.Matrix) *core.Store {
 	t.Helper()
 	s, err := core.Compress(matio.NewMem(x), core.Options{Budget: 0.10, FlagZeroRows: true})
 	if err != nil {
@@ -204,8 +204,9 @@ func TestClusterAggregatesBitIdentical(t *testing.T) {
 					for _, f := range aggs {
 						key := f + "|" + sel.rows + "|" + sel.cols
 						tc.rec.disk.Store(0)
-						w := tc.get(t, "/v1/agg?f="+f+
-							"&rows="+url.QueryEscape(sel.rows)+"&cols="+url.QueryEscape(sel.cols))
+						q := api.AggregateRequest{F: f, Rows: sel.rows, Cols: sel.cols}
+						raw, _ := json.Marshal(q)
+						w := tc.post(t, "/v1/aggregate", string(raw))
 						if w.Code != http.StatusOK {
 							t.Fatalf("%s: status %d: %s", key, w.Code, w.Body.String())
 						}
@@ -225,8 +226,7 @@ func TestClusterAggregatesBitIdentical(t *testing.T) {
 							t.Errorf("%s: proxy ledger %d != Σ shard ledgers %d",
 								key, hdr, tc.rec.disk.Load())
 						}
-						batch.Queries = append(batch.Queries,
-							api.AggregateRequest{F: f, Rows: sel.rows, Cols: sel.cols})
+						batch.Queries = append(batch.Queries, q)
 						batchKeys = append(batchKeys, key)
 					}
 				}
@@ -358,13 +358,13 @@ func TestClusterDeadShard(t *testing.T) {
 	full := compressStore(t, x)
 	tc := startCluster(t, full, 2, 1, Options{Timeout: 2 * time.Second}, nil)
 	// Warm the dims cache while both shards are alive, then kill shard 1.
-	if w := tc.get(t, "/v1/agg?f=sum"); w.Code != http.StatusOK {
+	if w := tc.post(t, "/v1/aggregate", `{"f":"sum"}`); w.Code != http.StatusOK {
 		t.Fatalf("warmup failed: %d %s", w.Code, w.Body.String())
 	}
 	tc.servers[1].Close()
 
 	start := time.Now()
-	w := tc.get(t, "/v1/agg?f=sum")
+	w := tc.post(t, "/v1/aggregate", `{"f":"sum"}`)
 	elapsed := time.Since(start)
 	d := envelope(t, w)
 	if w.Code != http.StatusServiceUnavailable || d.Code != api.CodeUnavailable {
@@ -431,7 +431,7 @@ func TestClusterStalledShard(t *testing.T) {
 	tc := startCluster(t, full, 2, 1, Options{Timeout: 300 * time.Millisecond}, stall)
 
 	start := time.Now()
-	w := tc.get(t, "/v1/agg?f=avg")
+	w := tc.post(t, "/v1/aggregate", `{"f":"avg"}`)
 	elapsed := time.Since(start)
 	d := envelope(t, w)
 	if w.Code != http.StatusServiceUnavailable || d.Code != api.CodeUnavailable {
@@ -564,7 +564,7 @@ func TestClusterBulkAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w = tc.get(t, fmt.Sprintf("/v1/agg?f=sum&rows=%d", n))
+	w = tc.post(t, "/v1/aggregate", fmt.Sprintf(`{"f":"sum","rows":"%d"}`, n))
 	if w.Code != http.StatusOK {
 		t.Fatalf("aggregate over appended row: %d %s", w.Code, w.Body.String())
 	}
@@ -624,7 +624,7 @@ func TestClusterInfoAndMetrics(t *testing.T) {
 	}
 
 	// Drive a request, then check the per-shard gauge block.
-	if w := tc.get(t, "/v1/agg?f=sum"); w.Code != http.StatusOK {
+	if w := tc.post(t, "/v1/aggregate", `{"f":"sum"}`); w.Code != http.StatusOK {
 		t.Fatal("aggregate for metrics warmup failed")
 	}
 	w = tc.get(t, "/v1/metrics")

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,14 +15,6 @@ import (
 	"seqstore/internal/query"
 	"seqstore/internal/telemetry"
 	"seqstore/internal/trace"
-)
-
-// maxAggBatchBody and maxBulkBody mirror the store nodes' request-body
-// bounds (the proxy buffers a bulk body once so a shard hiccup never
-// leaves a half-consumed stream).
-const (
-	maxAggBatchBody = 1 << 20
-	maxBulkBody     = 1 << 26
 )
 
 // renderSpec renders shard-local row/column indices back into the
@@ -48,19 +39,6 @@ func renderSpec(idx []int) string {
 		run = end
 	}
 	return b.String()
-}
-
-// decodePartial inverts the store node's base64(SQP1) partial encoding.
-func decodePartial(enc string) (*query.Partial, error) {
-	raw, err := base64.StdEncoding.DecodeString(enc)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: undecodable partial: %v", err)
-	}
-	p := new(query.Partial)
-	if err := p.UnmarshalBinary(raw); err != nil {
-		return nil, fmt.Errorf("cluster: %v", err)
-	}
-	return p, nil
 }
 
 // --- Info, health, metrics ---------------------------------------------------
@@ -134,11 +112,7 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			status = "degraded"
 		}
 	}
-	body := api.HealthzResponse{Status: status, Shards: health}
-	if p.opts.SLOObjective > 0 {
-		body.SLO = p.tel.Snapshot().SLO
-	}
-	api.WriteJSON(w, http.StatusOK, body)
+	api.WriteJSON(w, http.StatusOK, api.HealthzResponse{Status: status, SLO: p.mux.SLO(), Shards: health})
 }
 
 // handleMetrics serves the proxy's metrics plane. The default body is the
@@ -167,7 +141,7 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // serveProxyJSON is the proxy-scope JSON metrics body.
 func (p *Proxy) serveProxyJSON(w http.ResponseWriter, r *http.Request) {
 	topo, shards := p.view()
-	snap := p.tel.Snapshot()
+	snap := p.Telemetry().Snapshot()
 	perShard := make([]map[string]interface{}, len(shards))
 	for s, c := range shards {
 		lat := c.lat.Snapshot()
@@ -193,11 +167,7 @@ func (p *Proxy) serveProxyJSON(w http.ResponseWriter, r *http.Request) {
 			"open_shard": topo.OpenShard(),
 		},
 		"shards": perShard,
-		"traces": map[string]interface{}{
-			"buffered": len(p.ring.Snapshot()),
-			"capacity": p.ring.Cap(),
-			"total":    p.ring.Total(),
-		},
+		"traces": p.mux.TraceStats(),
 	}
 	if snap.SLO != nil {
 		body["slo"] = snap.SLO
@@ -211,7 +181,7 @@ func (p *Proxy) serveProxyProm(w http.ResponseWriter, r *http.Request) {
 	topo, shards := p.view()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	if err := telemetry.WritePrometheus(w, p.tel.Snapshot()); err != nil {
+	if err := telemetry.WritePrometheus(w, p.Telemetry().Snapshot()); err != nil {
 		trace.LoggerFrom(r.Context()).Error("prometheus render failed", "err", err)
 		return
 	}
@@ -337,18 +307,6 @@ func (p *Proxy) serveClusterJSON(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleTraces mirrors the store node's trace ring for the proxy's own
-// requests.
-func (p *Proxy) handleTraces(w http.ResponseWriter, r *http.Request) {
-	traces := p.ring.Snapshot()
-	api.WriteJSON(w, http.StatusOK, map[string]interface{}{
-		"count":    len(traces),
-		"capacity": p.ring.Cap(),
-		"total":    p.ring.Total(),
-		"traces":   traces,
-	})
-}
-
 // --- Point reads -------------------------------------------------------------
 
 // handleCell routes one cell lookup to the shard owning its row,
@@ -358,24 +316,19 @@ func (p *Proxy) handleTraces(w http.ResponseWriter, r *http.Request) {
 func (p *Proxy) handleCell(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if q.Get("row") != "" || q.Get("col") != "" {
-		api.WriteInvalid(w, r,
-			"the proxy is index-addressed: use integer i and j (label maps live on the store nodes)")
+		api.WriteError(w, r, api.Invalidf("the proxy is index-addressed: use integer i and j (label maps live on the store nodes)"))
 		return
 	}
 	i, err1 := strconv.Atoi(q.Get("i"))
 	j, err2 := strconv.Atoi(q.Get("j"))
 	if err1 != nil || err2 != nil {
-		api.WriteInvalid(w, r, "cell needs integer i and j parameters")
+		api.WriteError(w, r, api.Invalidf("cell needs integer i and j parameters"))
 		return
 	}
 	topo, shards := p.view()
 	s := topo.Locate(i)
 	if s < 0 {
-		api.WriteErrorDetail(w, http.StatusBadRequest, api.ErrorDetail{
-			Code:      api.CodeOutOfRange,
-			Message:   fmt.Sprintf("row %d is outside every shard's range", i),
-			RequestID: trace.FromContext(r.Context()).ID(),
-		})
+		api.WriteError(w, r, errNoShard(i))
 		return
 	}
 	c := shards[s]
@@ -393,17 +346,13 @@ func (p *Proxy) handleCell(w http.ResponseWriter, r *http.Request) {
 func (p *Proxy) handleRow(w http.ResponseWriter, r *http.Request) {
 	i, err := strconv.Atoi(r.URL.Query().Get("i"))
 	if err != nil {
-		api.WriteInvalid(w, r, "row needs an integer i parameter")
+		api.WriteError(w, r, api.Invalidf("row needs an integer i parameter"))
 		return
 	}
 	topo, shards := p.view()
 	s := topo.Locate(i)
 	if s < 0 {
-		api.WriteErrorDetail(w, http.StatusBadRequest, api.ErrorDetail{
-			Code:      api.CodeOutOfRange,
-			Message:   fmt.Sprintf("row %d is outside every shard's range", i),
-			RequestID: trace.FromContext(r.Context()).ID(),
-		})
+		api.WriteError(w, r, errNoShard(i))
 		return
 	}
 	c := shards[s]
@@ -421,32 +370,9 @@ func (p *Proxy) handleRow(w http.ResponseWriter, r *http.Request) {
 // /v1/cells per shard carrying its cells — and reassembles the responses
 // in the original request order.
 func (p *Proxy) handleCells(w http.ResponseWriter, r *http.Request) {
-	specs := r.URL.Query()["at"]
-	var coords [][2]int
-	for _, spec := range specs {
-		for _, part := range strings.Split(spec, ",") {
-			part = strings.TrimSpace(part)
-			is, js, ok := strings.Cut(part, ":")
-			if !ok {
-				api.WriteInvalid(w, r, fmt.Sprintf("bad cell %q: want i:j", part))
-				return
-			}
-			i, err1 := strconv.Atoi(strings.TrimSpace(is))
-			j, err2 := strconv.Atoi(strings.TrimSpace(js))
-			if err1 != nil || err2 != nil {
-				api.WriteInvalid(w, r, fmt.Sprintf("bad cell %q: want integer i:j", part))
-				return
-			}
-			coords = append(coords, [2]int{i, j})
-		}
-	}
-	if len(coords) == 0 {
-		api.WriteInvalid(w, r, "cells needs at=i:j[,i:j...] parameters")
-		return
-	}
-	if len(coords) > p.opts.MaxBatchCells {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("batch of %d cells exceeds limit %d", len(coords), p.opts.MaxBatchCells))
+	coords, err := api.ParseCells(r.URL.Query()["at"], p.opts.MaxBatchCells)
+	if err != nil {
+		api.WriteError(w, r, err)
 		return
 	}
 	topo, shards := p.view()
@@ -458,11 +384,7 @@ func (p *Proxy) handleCells(w http.ResponseWriter, r *http.Request) {
 	for pos, c := range coords {
 		s := topo.Locate(c[0])
 		if s < 0 {
-			api.WriteErrorDetail(w, http.StatusBadRequest, api.ErrorDetail{
-				Code:      api.CodeOutOfRange,
-				Message:   fmt.Sprintf("row %d is outside every shard's range", c[0]),
-				RequestID: trace.FromContext(r.Context()).ID(),
-			})
+			api.WriteError(w, r, errNoShard(c[0]))
 			return
 		}
 		g := &groups[s]
@@ -505,28 +427,14 @@ func (p *Proxy) handleCells(w http.ResponseWriter, r *http.Request) {
 // handleRows fans a batched row reconstruction out by shard and
 // reassembles in request order, re-mapping row indices to global.
 func (p *Proxy) handleRows(w http.ResponseWriter, r *http.Request) {
-	spec := r.URL.Query().Get("i")
-	if strings.TrimSpace(spec) == "" {
-		api.WriteInvalid(w, r, "rows needs an i index spec, e.g. i=0:8,17")
-		return
-	}
 	n, _, fails := p.globalDims(r.Context())
 	if len(fails) > 0 {
 		p.failScatter(w, r, fails)
 		return
 	}
-	idx, err := query.ParseIndexSpec(spec, n)
+	idx, err := api.ParseRows(r.URL.Query().Get("i"), n, p.opts.MaxBatchRows)
 	if err != nil {
-		api.WriteInvalid(w, r, err.Error())
-		return
-	}
-	if len(idx) == 0 {
-		api.WriteInvalid(w, r, "rows selection is empty")
-		return
-	}
-	if len(idx) > p.opts.MaxBatchRows {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("batch of %d rows exceeds limit %d", len(idx), p.opts.MaxBatchRows))
+		api.WriteError(w, r, err)
 		return
 	}
 	topo, shards := p.view()
@@ -538,11 +446,7 @@ func (p *Proxy) handleRows(w http.ResponseWriter, r *http.Request) {
 	for pos, i := range idx {
 		s := topo.Locate(i)
 		if s < 0 {
-			api.WriteErrorDetail(w, http.StatusBadRequest, api.ErrorDetail{
-				Code:      api.CodeOutOfRange,
-				Message:   fmt.Sprintf("row %d is outside every shard's range", i),
-				RequestID: trace.FromContext(r.Context()).ID(),
-			})
+			api.WriteError(w, r, errNoShard(i))
 			return
 		}
 		groups[s].local = append(groups[s].local, i-topo.Shards[s].Lo)
@@ -580,70 +484,24 @@ func (p *Proxy) handleRows(w http.ResponseWriter, r *http.Request) {
 
 // --- Aggregates (scatter/gather) ---------------------------------------------
 
-// parsedAgg is one aggregate query resolved against the global shape.
-type parsedAgg struct {
-	f   string
-	agg query.Aggregate
-	sel query.Selection
-}
+// errProxyPartial refuses the shard-internal partial form at the proxy.
+var errProxyPartial = api.Invalidf("partial evaluation is the shard-internal wire form; the proxy returns finished values")
 
-// parseAggQuery resolves (f, rows, cols) against the global dimensions,
-// exactly as a store node resolves them against its local ones.
-func parseAggQuery(req api.AggregateRequest, n, m int) (parsedAgg, error) {
-	f := req.F
-	if f == "" {
-		f = "avg"
-	}
-	agg, err := query.ParseAggregate(f)
-	if err != nil {
-		return parsedAgg{}, err
-	}
-	rows, err := query.ParseIndexSpec(req.Rows, n)
-	if err != nil {
-		return parsedAgg{}, fmt.Errorf("rows: %w", err)
-	}
-	cols, err := query.ParseIndexSpec(req.Cols, m)
-	if err != nil {
-		return parsedAgg{}, fmt.Errorf("cols: %w", err)
-	}
-	pa := parsedAgg{f: f, agg: agg, sel: query.Selection{Rows: rows, Cols: cols}}
-	if err := pa.sel.Validate(n, m); err != nil {
-		return parsedAgg{}, err
-	}
-	return pa, nil
-}
-
-// handleAgg is the deprecated GET query-param aggregate form at the
-// proxy, sharing the scatter/gather path of POST /v1/aggregate.
-func (p *Proxy) handleAgg(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	p.serveAggregate(w, r, api.AggregateRequest{
-		F: q.Get("f"), Rows: q.Get("rows"), Cols: q.Get("cols"),
-	})
-}
-
-// handleAggregate is POST /v1/aggregate at the proxy.
+// handleAggregate is POST /v1/aggregate at the proxy: split the validated
+// selection by shard row ranges, evaluate each fragment remotely into an
+// exact partial, and merge in shard order.
+// Because every partial carries exact accumulator state and the final
+// rounding runs through the same finalize code a store node uses, the
+// result is bit-identical to a single node evaluating the unsplit
+// selection — for every aggregate, any shard count, any per-shard worker
+// count.
 func (p *Proxy) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	var req api.AggregateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAggBatchBody))
-	if err := dec.Decode(&req); err != nil {
-		api.WriteInvalid(w, r, fmt.Sprintf("aggregate: malformed JSON body: %v", err))
-		return
+	req, err := api.DecodeAggregate(w, r)
+	if err == nil && req.Partial {
+		err = errProxyPartial
 	}
-	p.serveAggregate(w, r, req)
-}
-
-// serveAggregate is the tentpole path: split the validated selection by
-// shard row ranges, evaluate each fragment remotely into an exact partial,
-// and merge in shard order. Because every partial carries exact
-// accumulator state and the final rounding runs through the same finalize
-// code a store node uses, the result is bit-identical to a single node
-// evaluating the unsplit selection — for every aggregate, any shard
-// count, any per-shard worker count.
-func (p *Proxy) serveAggregate(w http.ResponseWriter, r *http.Request, req api.AggregateRequest) {
-	if req.Partial {
-		api.WriteInvalid(w, r,
-			"partial evaluation is the shard-internal wire form; the proxy returns finished values")
+	if err != nil {
+		api.WriteError(w, r, err)
 		return
 	}
 	n, m, fails := p.globalDims(r.Context())
@@ -651,22 +509,18 @@ func (p *Proxy) serveAggregate(w http.ResponseWriter, r *http.Request, req api.A
 		p.failScatter(w, r, fails)
 		return
 	}
-	pa, err := parseAggQuery(req, n, m)
+	pa, err := req.Parse(n, m)
 	if err != nil {
 		api.WriteError(w, r, err)
 		return
 	}
-	body := api.AggregateResponse{F: pa.f, Rows: len(pa.sel.Rows), Cols: len(pa.sel.Cols)}
-	if pa.agg == query.Count {
+	body := api.AggregateResponse{F: pa.F, Rows: len(pa.Sel.Rows), Cols: len(pa.Sel.Cols)}
+	if pa.Agg == query.Count {
 		// Count is selection arithmetic; the validated selection already
 		// answers it without touching a shard.
-		body.Value, body.Nonfinite = api.Float(float64(pa.sel.NumCells()))
+		body.Value, body.Nonfinite = api.Float(float64(pa.Sel.NumCells()))
 		if req.Explain {
-			body.Explain = &api.Explain{
-				Plan:  query.PlanCount,
-				Cells: int64(pa.sel.NumCells()),
-				Cost:  trace.LedgerFrom(r.Context()).Snapshot(),
-			}
+			body.Explain = countExplain(r.Context(), pa)
 		}
 		api.WriteJSON(w, http.StatusOK, body)
 		return
@@ -685,6 +539,15 @@ func (p *Proxy) serveAggregate(w http.ResponseWriter, r *http.Request, req api.A
 		body.Explain = mergeShardExplains(r.Context(), shardEx)
 	}
 	api.WriteJSON(w, http.StatusOK, body)
+}
+
+// countExplain is the explain block of a count the proxy answered itself.
+func countExplain(ctx context.Context, pa api.Aggregate) *api.Explain {
+	return &api.Explain{
+		Plan:  query.PlanCount,
+		Cells: int64(pa.Sel.NumCells()),
+		Cost:  trace.LedgerFrom(ctx).Snapshot(),
+	}
 }
 
 // mergeShardExplains folds per-shard explain blocks into the proxy's
@@ -731,9 +594,9 @@ func mergeShardExplains(ctx context.Context, shards []api.ShardExplain) *api.Exp
 // gather scatters one parsed aggregate and merges the shard partials.
 // With explain set, each fragment request also asks its shard for an
 // explain block; the blocks come back in shard order.
-func (p *Proxy) gather(r *http.Request, pa parsedAgg, explain bool) (float64, []api.ShardExplain, error, []shardFailure) {
+func (p *Proxy) gather(r *http.Request, pa api.Aggregate, explain bool) (float64, []api.ShardExplain, error, []shardFailure) {
 	topo, shards := p.view()
-	frags, err := query.SplitSelection(pa.sel, topo.Ranges())
+	frags, err := query.SplitSelection(pa.Sel, topo.Ranges())
 	if err != nil {
 		return 0, nil, err, nil
 	}
@@ -748,7 +611,7 @@ func (p *Proxy) gather(r *http.Request, pa parsedAgg, explain bool) (float64, []
 	fails := scatter(shards, targets, func(c *shardClient) error {
 		frag := frags[c.shard]
 		reqBody := api.AggregateRequest{
-			F:       pa.f,
+			F:       pa.F,
 			Rows:    renderSpec(frag.Rows),
 			Cols:    renderSpec(frag.Cols),
 			Partial: true,
@@ -758,7 +621,7 @@ func (p *Proxy) gather(r *http.Request, pa parsedAgg, explain bool) (float64, []
 		if err := c.doJSON(r.Context(), http.MethodPost, "/v1/aggregate", reqBody, &resp, true); err != nil {
 			return err
 		}
-		part, err := decodePartial(resp.Partial)
+		part, err := api.DecodePartial(resp.Partial)
 		if err != nil {
 			return err
 		}
@@ -781,7 +644,7 @@ func (p *Proxy) gather(r *http.Request, pa parsedAgg, explain bool) (float64, []
 	// shard order regardless of response arrival (merge order doesn't
 	// change the bits — the accumulators are exact — but determinism makes
 	// that property testable).
-	v, err := query.MergePartials(pa.agg, parts)
+	v, err := query.MergePartials(pa.Agg, parts)
 	return v, shardEx, err, nil
 }
 
@@ -793,24 +656,12 @@ func (p *Proxy) gather(r *http.Request, pa parsedAgg, explain bool) (float64, []
 // shard-level failure fails the request with 503 and the shard detail.
 func (p *Proxy) handleAggBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req api.BatchAggregateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAggBatchBody))
-	if err := dec.Decode(&req); err != nil {
-		api.WriteInvalid(w, r, fmt.Sprintf("aggregate/batch: malformed JSON body: %v", err))
-		return
+	req, err := api.DecodeBatch(w, r, p.opts.MaxBatchQueries)
+	if err == nil && req.Partial {
+		err = errProxyPartial
 	}
-	if req.Partial {
-		api.WriteInvalid(w, r,
-			"partial evaluation is the shard-internal wire form; the proxy returns finished values")
-		return
-	}
-	if len(req.Queries) == 0 {
-		api.WriteInvalid(w, r, `aggregate/batch needs a non-empty "queries" array`)
-		return
-	}
-	if len(req.Queries) > p.opts.MaxBatchQueries {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("batch of %d queries exceeds limit %d", len(req.Queries), p.opts.MaxBatchQueries))
+	if err != nil {
+		api.WriteError(w, r, err)
 		return
 	}
 	n, m, fails := p.globalDims(r.Context())
@@ -822,7 +673,7 @@ func (p *Proxy) handleAggBatch(w http.ResponseWriter, r *http.Request) {
 	ranges := topo.Ranges()
 
 	numQ := len(req.Queries)
-	parsed := make([]parsedAgg, numQ)
+	parsed := make([]api.Aggregate, numQ)
 	parseErrs := make([]error, numQ)
 	// Per-shard batch under construction: the fragment requests plus the
 	// query index each one answers.
@@ -832,16 +683,16 @@ func (p *Proxy) handleAggBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	batches := make([]shardBatch, len(shards))
 	for qi, bq := range req.Queries {
-		pa, err := parseAggQuery(bq, n, m)
+		pa, err := bq.Parse(n, m)
 		if err != nil {
 			parseErrs[qi] = err
 			continue
 		}
 		parsed[qi] = pa
-		if pa.agg == query.Count {
+		if pa.Agg == query.Count {
 			continue // answered locally, like the single-query path
 		}
-		frags, err := query.SplitSelection(pa.sel, ranges)
+		frags, err := query.SplitSelection(pa.Sel, ranges)
 		if err != nil {
 			parseErrs[qi] = err
 			continue
@@ -851,7 +702,7 @@ func (p *Proxy) handleAggBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			batches[s].queries = append(batches[s].queries, api.AggregateRequest{
-				F:       pa.f,
+				F:       pa.F,
 				Rows:    renderSpec(frags[s].Rows),
 				Cols:    renderSpec(frags[s].Cols),
 				Explain: req.Explain || bq.Explain,
@@ -899,7 +750,7 @@ func (p *Proxy) handleAggBatch(w http.ResponseWriter, r *http.Request) {
 				itemErrs[qi][c.shard] = &remoteError{status: item.Status, msg: item.Error}
 				continue
 			}
-			part, err := decodePartial(item.Partial)
+			part, err := api.DecodePartial(item.Partial)
 			if err != nil {
 				return err
 			}
@@ -918,9 +769,6 @@ func (p *Proxy) handleAggBatch(w http.ResponseWriter, r *http.Request) {
 	for qi := range req.Queries {
 		if err := parseErrs[qi]; err != nil {
 			status, _ := api.Classify(err)
-			if status == http.StatusInternalServerError {
-				status = http.StatusBadRequest // parse errors are the client's
-			}
 			out[qi] = api.BatchAggregateItem{Status: status, Error: err.Error()}
 			hadErr = true
 			continue
@@ -938,16 +786,16 @@ func (p *Proxy) handleAggBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		it := api.BatchAggregateItem{
 			Status: http.StatusOK,
-			F:      pa.f,
-			Rows:   len(pa.sel.Rows),
-			Cols:   len(pa.sel.Cols),
+			F:      pa.F,
+			Rows:   len(pa.Sel.Rows),
+			Cols:   len(pa.Sel.Cols),
 		}
 		var v float64
 		var err error
-		if pa.agg == query.Count {
-			v = float64(pa.sel.NumCells())
+		if pa.Agg == query.Count {
+			v = float64(pa.Sel.NumCells())
 		} else {
-			v, err = query.MergePartials(pa.agg, partials[qi])
+			v, err = query.MergePartials(pa.Agg, partials[qi])
 		}
 		if err != nil {
 			status, _ := api.Classify(err)
@@ -957,12 +805,8 @@ func (p *Proxy) handleAggBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		it.Value, it.Nonfinite = api.Float(v)
 		if req.Explain || req.Queries[qi].Explain {
-			if pa.agg == query.Count {
-				it.Explain = &api.Explain{
-					Plan:  query.PlanCount,
-					Cells: int64(pa.sel.NumCells()),
-					Cost:  trace.LedgerFrom(r.Context()).Snapshot(),
-				}
+			if pa.Agg == query.Count {
+				it.Explain = countExplain(r.Context(), pa)
 			} else {
 				var shardEx []api.ShardExplain
 				for s, ex := range explains[qi] {
@@ -991,16 +835,17 @@ func (p *Proxy) handleBulk(w http.ResponseWriter, r *http.Request) {
 	topo, shards := p.view()
 	open := topo.OpenShard()
 	if open < 0 {
-		api.WriteErrorDetail(w, http.StatusForbidden, api.ErrorDetail{
-			Code:      api.CodeNotWritable,
-			Message:   "topology has no open-ended shard: every row range is closed, so the cluster cannot absorb appends",
-			RequestID: trace.FromContext(r.Context()).ID(),
+		api.WriteErrorDetail(w, r, http.StatusForbidden, api.ErrorDetail{
+			Code:    api.CodeNotWritable,
+			Message: "topology has no open-ended shard: every row range is closed, so the cluster cannot absorb appends",
 		})
 		return
 	}
-	bodyBytes, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBulkBody))
+	// The body is buffered once so a shard hiccup never leaves a
+	// half-consumed stream.
+	bodyBytes, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxBulkBody))
 	if err != nil {
-		api.WriteInvalid(w, r, fmt.Sprintf("bulk: reading body: %v", err))
+		api.WriteError(w, r, api.Invalidf("bulk: reading body: %v", err))
 		return
 	}
 	c := shards[open]

@@ -10,16 +10,8 @@ import (
 	"time"
 
 	"seqstore/internal/api"
+	"seqstore/internal/seqerr"
 	"seqstore/internal/telemetry"
-	"seqstore/internal/trace"
-)
-
-// Proxy batch limits mirror the single-node server's defaults, so a
-// request the proxy accepts is one every store node accepts too.
-const (
-	defaultMaxBatchCells   = 10000
-	defaultMaxBatchRows    = 1024
-	defaultMaxBatchQueries = 64
 )
 
 // DefaultTimeout bounds one store-node exchange; a shard that stays silent
@@ -35,7 +27,8 @@ type Options struct {
 	// first and the earlier success wins. 0 disables hedging.
 	HedgeAfter time.Duration
 	// MaxBatchCells/MaxBatchRows/MaxBatchQueries bound one batched
-	// request, mirroring the store nodes' limits; 0 selects the defaults.
+	// request; 0 selects the api.DefaultMaxBatch* bounds the store nodes
+	// default to.
 	MaxBatchCells   int
 	MaxBatchRows    int
 	MaxBatchQueries int
@@ -74,11 +67,8 @@ type Proxy struct {
 	opts Options
 	path string // topology file; "" when built from an in-memory Topology
 
-	hc   *http.Client
-	tel  *telemetry.Registry
-	mux  *http.ServeMux
-	log  *slog.Logger
-	ring *trace.Ring
+	hc  *http.Client
+	mux *api.Mux
 
 	mu     sync.RWMutex
 	topo   *Topology
@@ -106,31 +96,24 @@ func NewWithTopology(topo *Topology, opts Options) *Proxy {
 		opts.Timeout = DefaultTimeout
 	}
 	if opts.MaxBatchCells <= 0 {
-		opts.MaxBatchCells = defaultMaxBatchCells
+		opts.MaxBatchCells = api.DefaultMaxBatchCells
 	}
 	if opts.MaxBatchRows <= 0 {
-		opts.MaxBatchRows = defaultMaxBatchRows
+		opts.MaxBatchRows = api.DefaultMaxBatchRows
 	}
 	if opts.MaxBatchQueries <= 0 {
-		opts.MaxBatchQueries = defaultMaxBatchQueries
+		opts.MaxBatchQueries = api.DefaultMaxBatchQueries
 	}
 	p := &Proxy{
 		opts: opts,
 		hc:   opts.Client,
-		tel:  telemetry.NewRegistry(),
-		mux:  http.NewServeMux(),
-		log:  opts.Logger,
-		ring: trace.NewRing(opts.TraceBuffer),
-	}
-	if p.log == nil {
-		p.log = slog.New(slog.DiscardHandler)
-	}
-	if opts.SLOObjective > 0 {
-		target := opts.SLOTarget
-		if target <= 0 {
-			target = 0.99
-		}
-		p.tel.SetSLO(float64(opts.SLOObjective)/float64(time.Millisecond), target)
+		mux: api.NewMux(api.MuxConfig{
+			Logger:       opts.Logger,
+			SlowQuery:    opts.SlowQuery,
+			TraceBuffer:  opts.TraceBuffer,
+			SLOObjective: opts.SLOObjective,
+			SLOTarget:    opts.SLOTarget,
+		}),
 	}
 	if p.hc == nil {
 		t := http.DefaultTransport.(*http.Transport).Clone()
@@ -139,18 +122,17 @@ func NewWithTopology(topo *Topology, opts Options) *Proxy {
 	}
 	p.install(topo)
 
-	p.handle("/v1/info", p.handleInfo)
-	p.handle("/v1/cell", p.handleCell)
-	p.handle("/v1/cells", p.handleCells)
-	p.handle("/v1/row", p.handleRow)
-	p.handle("/v1/rows", p.handleRows)
-	p.handle("/v1/agg", deprecatedBy("/v1/aggregate", p.handleAgg))
-	p.handle("/v1/metrics", p.handleMetrics)
-	p.handle("/v1/healthz", p.handleHealthz)
-	p.handle(tracesPattern, p.handleTraces)
-	p.handleMethod("/v1/bulk", http.MethodPost, p.handleBulk)
-	p.handleMethod("/v1/aggregate", http.MethodPost, p.handleAggregate)
-	p.handleMethod("/v1/aggregate/batch", http.MethodPost, p.handleAggBatch)
+	get, post := http.MethodGet, http.MethodPost
+	p.mux.Handle(get, "/v1/info", p.handleInfo)
+	p.mux.Handle(get, "/v1/cell", p.handleCell)
+	p.mux.Handle(get, "/v1/cells", p.handleCells)
+	p.mux.Handle(get, "/v1/row", p.handleRow)
+	p.mux.Handle(get, "/v1/rows", p.handleRows)
+	p.mux.Handle(get, "/v1/metrics", p.handleMetrics)
+	p.mux.Handle(get, "/v1/healthz", p.handleHealthz)
+	p.mux.Handle(post, "/v1/aggregate", p.handleAggregate)
+	p.mux.Handle(post, "/v1/aggregate/batch", p.handleAggBatch)
+	p.mux.Handle(post, "/v1/bulk", p.handleBulk)
 	return p
 }
 
@@ -199,174 +181,11 @@ func (p *Proxy) view() (*Topology, []*shardClient) {
 }
 
 // Telemetry exposes the proxy's metrics registry.
-func (p *Proxy) Telemetry() *telemetry.Registry { return p.tel }
+func (p *Proxy) Telemetry() *telemetry.Registry { return p.mux.Telemetry() }
 
 // ServeHTTP dispatches to the instrumented endpoint handlers.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.mux.ServeHTTP(w, r)
-}
-
-// tracesPattern mirrors the store node's trace-ring endpoint.
-const tracesPattern = "/v1/debug/traces"
-
-// deprecatedBy mirrors the store node's deprecation idiom: the endpoint
-// still serves, advertising its successor.
-func deprecatedBy(successor string, fn http.HandlerFunc) http.HandlerFunc {
-	link := fmt.Sprintf("<%s>; rel=\"successor-version\"", successor)
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", link)
-		fn(w, r)
-	}
-}
-
-func (p *Proxy) handle(pattern string, fn http.HandlerFunc) {
-	p.handleMethod(pattern, http.MethodGet, fn)
-}
-
-// handleMethod is the proxy's request middleware, the same shape as the
-// store node's: count, time, trace. The request's trace ledger is what the
-// shard clients fold remote cost snapshots into, so the X-Cost-* headers
-// this hook emits are the exact sum of the per-shard ledgers.
-func (p *Proxy) handleMethod(pattern, method string, fn http.HandlerFunc) {
-	ep := p.tel.Endpoint(pattern)
-	p.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ep.Requests.Inc()
-
-		id := trace.SanitizeRequestID(r.Header.Get(trace.HeaderRequestID))
-		if id == "" {
-			id = trace.NewRequestID()
-		}
-		tr := trace.New(id, pattern)
-		logger := p.log.With("request_id", id)
-		ctx := trace.WithLogger(trace.NewContext(r.Context(), tr), logger)
-		r = r.WithContext(ctx)
-
-		sw := &statusWriter{ResponseWriter: w}
-		sw.beforeHeader = func() {
-			hdr := sw.Header()
-			hdr.Set(trace.HeaderRequestID, id)
-			trace.EncodeCostHeaders(hdr, tr.Ledger.Snapshot())
-		}
-
-		if r.Method != method {
-			sw.Header().Set("Allow", method)
-			api.WriteErrorDetail(sw, http.StatusMethodNotAllowed, api.ErrorDetail{
-				Code:      api.CodeMethodNotAllowed,
-				Message:   fmt.Sprintf("method %s not allowed; use %s", r.Method, method),
-				RequestID: id,
-			})
-		} else {
-			fn(sw, r)
-		}
-
-		elapsed := time.Since(start)
-		ep.Latency.Observe(elapsed)
-		if sw.status >= http.StatusBadRequest {
-			ep.Errors.Inc()
-		}
-		snap := tr.Finish(sw.status)
-		if pattern != tracesPattern {
-			p.ring.Put(snap)
-		}
-		p.logRequest(logger, pattern, snap, elapsed)
-	})
-}
-
-// logRequest mirrors the store node's request log: Debug normally, Warn
-// with the full cost ledger above the slow-query threshold, Error on 5xx.
-// The proxy's slow-query line additionally names the winning shard set, so
-// an end-to-end outlier is greppable by trace id across every process it
-// touched.
-func (p *Proxy) logRequest(logger *slog.Logger, pattern string, snap *trace.TraceSnapshot, elapsed time.Duration) {
-	slow := p.opts.SlowQuery > 0 && elapsed >= p.opts.SlowQuery
-	level := slog.LevelDebug
-	msg := "request"
-	switch {
-	case snap.Status >= http.StatusInternalServerError:
-		level = slog.LevelError
-		msg = "request failed"
-	case slow:
-		level = slog.LevelWarn
-		msg = "slow query"
-	}
-	if !logger.Enabled(context.Background(), level) {
-		return
-	}
-	args := []any{
-		"endpoint", pattern,
-		"status", snap.Status,
-		"duration_ms", float64(elapsed.Microseconds()) / 1e3,
-		"trace_id", snap.TraceID,
-	}
-	if slow || level >= slog.LevelWarn {
-		c := snap.Cost
-		args = append(args,
-			"shards", winningShards(snap),
-			"disk_accesses", c.DiskAccesses,
-			"rows_read", c.RowsRead,
-			"pages_touched", c.PagesTouched,
-			"cache_hits", c.CacheHits,
-			"deltas_probed", c.DeltasProbed,
-		)
-	}
-	logger.Log(context.Background(), level, msg, args...)
-}
-
-// winningShards extracts the distinct shard numbers whose attempts won, in
-// ascending order — the set of store nodes whose responses actually formed
-// the answer.
-func winningShards(snap *trace.TraceSnapshot) []int {
-	seen := map[int]bool{}
-	for _, sp := range snap.Spans {
-		shard, won := -1, false
-		for _, a := range sp.Attrs {
-			switch a.Key {
-			case "shard":
-				if v, ok := a.Value.(int); ok {
-					shard = v
-				}
-			case "outcome":
-				won = a.Value == "winner"
-			}
-		}
-		if won && shard >= 0 {
-			seen[shard] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// statusWriter records the committed status and runs the beforeHeader hook
-// once, immediately before the status line — identical contract to the
-// store node's.
-type statusWriter struct {
-	http.ResponseWriter
-	status       int
-	beforeHeader func()
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-		if w.beforeHeader != nil {
-			w.beforeHeader()
-		}
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
-	}
-	return w.ResponseWriter.Write(b)
 }
 
 // --- Scatter plumbing --------------------------------------------------------
@@ -432,21 +251,14 @@ func (p *Proxy) failScatter(w http.ResponseWriter, r *http.Request, fails []shar
 	}
 	if !transport {
 		if re, ok := asRemote(fails[0].err); ok {
-			api.WriteErrorDetail(w, re.status, api.ErrorDetail{
-				Code:      re.code,
-				Message:   re.msg,
-				RequestID: trace.FromContext(r.Context()).ID(),
-				Shards:    details,
-			})
+			api.WriteErrorDetail(w, r, re.status, api.ErrorDetail{Code: re.code, Message: re.msg, Shards: details})
 			return
 		}
 	}
-	total := len(p.shardsNow())
-	api.WriteErrorDetail(w, http.StatusServiceUnavailable, api.ErrorDetail{
-		Code:      api.CodeUnavailable,
-		Message:   fmt.Sprintf("%d of %d shards unavailable", len(fails), total),
-		RequestID: trace.FromContext(r.Context()).ID(),
-		Shards:    details,
+	api.WriteErrorDetail(w, r, http.StatusServiceUnavailable, api.ErrorDetail{
+		Code:    api.CodeUnavailable,
+		Message: fmt.Sprintf("%d of %d shards unavailable", len(fails), len(p.shardsNow())),
+		Shards:  details,
 	})
 }
 
@@ -460,19 +272,19 @@ func (p *Proxy) shardsNow() []*shardClient {
 // failures become 503 unavailable naming the shard.
 func (p *Proxy) failShard(w http.ResponseWriter, r *http.Request, c *shardClient, err error) {
 	if re, ok := asRemote(err); ok {
-		api.WriteErrorDetail(w, re.status, api.ErrorDetail{
-			Code:      re.code,
-			Message:   re.msg,
-			RequestID: trace.FromContext(r.Context()).ID(),
-		})
+		api.WriteErrorDetail(w, r, re.status, api.ErrorDetail{Code: re.code, Message: re.msg})
 		return
 	}
-	api.WriteErrorDetail(w, http.StatusServiceUnavailable, api.ErrorDetail{
-		Code:      api.CodeUnavailable,
-		Message:   err.Error(),
-		RequestID: trace.FromContext(r.Context()).ID(),
-		Shards:    []api.ShardError{{Shard: c.shard, Addr: c.addr, Message: err.Error()}},
+	api.WriteErrorDetail(w, r, http.StatusServiceUnavailable, api.ErrorDetail{
+		Code:    api.CodeUnavailable,
+		Message: err.Error(),
+		Shards:  []api.ShardError{{Shard: c.shard, Addr: c.addr, Message: err.Error()}},
 	})
+}
+
+// errNoShard is the verdict on a row no shard's range covers.
+func errNoShard(i int) error {
+	return fmt.Errorf("row %d is outside every shard's range (%w)", i, seqerr.ErrOutOfRange)
 }
 
 // --- Global dimensions -------------------------------------------------------

@@ -1,6 +1,8 @@
 // Package cluster is the distributed tier: a stateless query proxy that
-// serves the same typed /v1 wire contract as a single store node, routing
-// over N store nodes that each own a contiguous row range of the matrix.
+// serves the same typed /v1 wire contract as a single store node —
+// through the same request middleware and request parsers (package api) —
+// routing over N store nodes that each own a contiguous row range of the
+// matrix.
 //
 // Point reads (/v1/cell, /v1/row, /v1/rows, /v1/cells) route by row-range
 // lookup against a static topology file (hot-reloadable on SIGHUP).

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -171,7 +170,7 @@ func BenchCluster(cfg ClusterConfig, w io.Writer) (*ClusterResult, error) {
 			return nil, fmt.Errorf("experiments: cluster: %d shards: %w", shards, err)
 		}
 		res.Runs = append(res.Runs, *run)
-		agg := run.Endpoints["/v1/agg"]
+		agg := run.Endpoints["/v1/aggregate"]
 		cell := run.Endpoints["/v1/cell"]
 		fmt.Fprintf(tw, "%d\t%d\t%.0f\t%.3f\t%.3f\t%.3f\t%v\t%v\t%d\n",
 			run.Shards, run.Clients, run.Throughput,
@@ -226,8 +225,10 @@ func clusterReference(full *core.Store, q clusterQuery, n, m int) (uint64, error
 	return math.Float64bits(v), nil
 }
 
-func clusterAggPath(q clusterQuery) string {
-	return "/v1/agg?f=" + q.F + "&rows=" + url.QueryEscape(q.Rows) + "&cols=" + url.QueryEscape(q.Cols)
+// clusterAggOp is one pooled query as a POST /v1/aggregate request.
+func clusterAggOp(q clusterQuery) loadOp {
+	raw, _ := json.Marshal(api.AggregateRequest{F: q.F, Rows: q.Rows, Cols: q.Cols})
+	return loadOp{method: http.MethodPost, path: "/v1/aggregate", body: string(raw)}
 }
 
 // benchClusterRun stands up one proxy-over-k-nodes cluster, runs the
@@ -263,12 +264,13 @@ func benchClusterRun(cfg ClusterConfig, full *core.Store, pool []clusterQuery, r
 	run := &ClusterRun{Shards: shards, Clients: cfg.Clients, BitIdentical: true, LedgerExact: true}
 
 	// Equivalence pass, serial so each request's ledger is attributable:
-	// every pooled aggregate through /v1/agg, then the whole pool as one
+	// every pooled aggregate through /v1/aggregate, then the whole pool as one
 	// batch, each compared bit-for-bit against the single-node reference.
 	client := &http.Client{Timeout: 60 * time.Second}
 	for i, q := range pool {
 		rec.disk.Store(0)
-		resp, err := client.Get(front.URL + clusterAggPath(q))
+		op := clusterAggOp(q)
+		resp, err := client.Post(front.URL+op.path, "application/json", strings.NewReader(op.body))
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +351,7 @@ func benchClusterRun(cfg ClusterConfig, full *core.Store, pool []clusterQuery, r
 				case it%4 == 0:
 					op = loadOp{method: http.MethodPost, path: "/v1/aggregate/batch", body: string(raw)}
 				default:
-					op = loadOp{method: http.MethodGet, path: clusterAggPath(pool[rng.Intn(len(pool))])}
+					op = clusterAggOp(pool[rng.Intn(len(pool))])
 				}
 				if err := doOp(cl, front.URL, op); err != nil {
 					errCount.Add(1)

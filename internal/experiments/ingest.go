@@ -205,22 +205,17 @@ func benchIngestRun(x *linalg.Matrix, cfg IngestConfig, writers int) (*IngestRun
 					return
 				default:
 				}
-				var url string
+				var op loadOp
 				if rng.Intn(4) < 3 {
-					url = fmt.Sprintf("%s/v1/cell?i=%d&j=%d", ts.URL, rng.Intn(n), rng.Intn(m))
+					op = loadOp{method: http.MethodGet,
+						path: fmt.Sprintf("/v1/cell?i=%d&j=%d", rng.Intn(n), rng.Intn(m))}
 				} else {
 					lo := rng.Intn(n - 10)
-					url = fmt.Sprintf("%s/v1/agg?f=avg&rows=%d:%d&cols=0:10", ts.URL, lo, lo+10)
+					op = loadOp{method: http.MethodPost, path: "/v1/aggregate",
+						body: fmt.Sprintf(`{"f":"avg","rows":"%d:%d","cols":"0:10"}`, lo, lo+10)}
 				}
-				resp, err := client.Get(url)
-				if err != nil {
+				if err := doOp(client, ts.URL, op); err != nil {
 					fail(fmt.Errorf("read: %w", err))
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					fail(fmt.Errorf("read %s: status %d", url, resp.StatusCode))
 					return
 				}
 			}

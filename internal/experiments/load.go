@@ -26,7 +26,7 @@ import (
 // the full HTTP serving stack (internal/server over an SVDD phone store,
 // optionally wrapped in a WAL-backed ingestion tier for the write
 // fraction) with a mixed decision-support workload — point lookups
-// (/v1/cell, /v1/row), single aggregates (/v1/agg), scan-shared batch
+// (/v1/cell, /v1/row), single aggregates (/v1/aggregate), scan-shared batch
 // aggregates (/v1/aggregate/batch) and bulk appends (/v1/bulk) — and
 // reads p50/p99/p999 back out of the server's own telemetry histograms.
 type LoadConfig struct {
@@ -48,7 +48,7 @@ type LoadConfig struct {
 	// WriteFrac is the fraction of operations that are /v1/bulk appends;
 	// PointFrac splits the reads between point lookups and aggregates;
 	// every BatchEvery-th aggregate goes through /v1/aggregate/batch with
-	// BatchSize queries instead of a single /v1/agg.
+	// BatchSize queries instead of a single /v1/aggregate.
 	WriteFrac  float64
 	PointFrac  float64
 	BatchEvery int
@@ -211,7 +211,7 @@ func BenchLoad(cfg LoadConfig, w io.Writer) (*LoadResult, error) {
 	fmt.Fprintln(tw, "run\tmode\tprocs\tclients\trps\tagg p50 ms\tagg p99 ms\tagg p999 ms\tplan hit rate\terrors")
 	record := func(r *LoadRun) {
 		res.Runs = append(res.Runs, *r)
-		agg := r.Endpoints["/v1/agg"]
+		agg := r.Endpoints["/v1/aggregate"]
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.0f\t%.3f\t%.3f\t%.3f\t%.2f\t%d\n",
 			r.Label, r.Mode, r.GoMaxProcs, r.Clients, r.Throughput,
 			agg.P50Ms, agg.P99Ms, agg.P999Ms, r.PlanHitRate, r.Errors)
@@ -332,7 +332,7 @@ func loadScaling(runs []*LoadRun) *LoadScaling {
 
 // loadPlanDelta folds the cold/warm pair into the reported p99 margin.
 func loadPlanDelta(cold, warm *LoadRun) *LoadPlanDelta {
-	cagg, wagg := cold.Endpoints["/v1/agg"], warm.Endpoints["/v1/agg"]
+	cagg, wagg := cold.Endpoints["/v1/aggregate"], warm.Endpoints["/v1/aggregate"]
 	d := &LoadPlanDelta{
 		ColdP99Ms: cagg.P99Ms, WarmP99Ms: wagg.P99Ms,
 		ColdMeanMs: cagg.MeanMs, WarmMeanMs: wagg.MeanMs,
@@ -522,8 +522,9 @@ func (lr *loadRunner) aggPool() []loadOp {
 		lo := (i * lr.n / 10) % (lr.n - lr.n/6)
 		cl := (i * lr.m / 9) % (lr.m - lr.m/4)
 		pool = append(pool, loadOp{
-			method: http.MethodGet,
-			path: fmt.Sprintf("/v1/agg?f=%s&rows=%d:%d&cols=%d:%d",
+			method: http.MethodPost,
+			path:   "/v1/aggregate",
+			body: fmt.Sprintf(`{"f":%q,"rows":"%d:%d","cols":"%d:%d"}`,
 				aggs[i%len(aggs)], lo, lo+lr.n/6, cl, cl+lr.m/4),
 		})
 	}

@@ -34,9 +34,9 @@ func TestBenchLoadSmall(t *testing.T) {
 		if r.Throughput <= 0 || r.Requests <= 0 {
 			t.Errorf("%s: rps=%v requests=%d", r.Label, r.Throughput, r.Requests)
 		}
-		agg, ok := r.Endpoints["/v1/agg"]
+		agg, ok := r.Endpoints["/v1/aggregate"]
 		if !ok || agg.Count == 0 {
-			t.Errorf("%s: no /v1/agg latency recorded", r.Label)
+			t.Errorf("%s: no /v1/aggregate latency recorded", r.Label)
 		}
 		if agg.P50Ms > agg.P99Ms || agg.P99Ms > agg.P999Ms {
 			t.Errorf("%s: quantiles out of order: p50=%v p99=%v p999=%v",
@@ -67,9 +67,9 @@ func TestBenchLoadSmall(t *testing.T) {
 	if res.PlanCache == nil || res.PlanCache.WarmHitRate != warm.PlanHitRate {
 		t.Errorf("plan delta not derived from the warm run: %+v", res.PlanCache)
 	}
-	if res.PlanCache.ColdP99Ms != cold.Endpoints["/v1/agg"].P99Ms ||
-		res.PlanCache.WarmP99Ms != warm.Endpoints["/v1/agg"].P99Ms {
-		t.Errorf("plan delta p99s not taken from the /v1/agg histograms: %+v", res.PlanCache)
+	if res.PlanCache.ColdP99Ms != cold.Endpoints["/v1/aggregate"].P99Ms ||
+		res.PlanCache.WarmP99Ms != warm.Endpoints["/v1/aggregate"].P99Ms {
+		t.Errorf("plan delta p99s not taken from the /v1/aggregate histograms: %+v", res.PlanCache)
 	}
 	if res.PlanCache.ColdP99Ms <= 0 || res.PlanCache.WarmP99Ms <= 0 {
 		t.Errorf("plan delta recorded zero p99s: %+v", res.PlanCache)

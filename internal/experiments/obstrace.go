@@ -147,25 +147,19 @@ func BenchObsTrace(cfg ObsTraceConfig, w io.Writer) (*ObsTraceResult, error) {
 	n, m := full.Dims()
 	res := &ObsTraceResult{N: n, M: m, Budget: cfg.Budget, Shards: cfg.Shards, TargetPct: 3}
 
-	endpoints := []string{
-		"/v1/agg?f=sum",
-		"/v1/agg?f=min&rows=0:" + strconv.Itoa(n/3),
-		fmt.Sprintf("/v1/cell?i=%d&j=%d", n/2, m/2),
+	endpoints := []loadOp{
+		{method: http.MethodPost, path: "/v1/aggregate", body: `{"f":"sum"}`},
+		{method: http.MethodPost, path: "/v1/aggregate", body: fmt.Sprintf(`{"f":"min","rows":"0:%d"}`, n/3)},
+		{method: http.MethodGet, path: fmt.Sprintf("/v1/cell?i=%d&j=%d", n/2, m/2)},
 	}
 
 	// One batch = Iters sequential requests against the endpoint.
-	timeBatch := func(front *httptest.Server, path string) (int64, error) {
+	timeBatch := func(front *httptest.Server, op loadOp) (int64, error) {
 		client := front.Client()
 		per, err := timeEval(1, func() error {
 			for i := 0; i < cfg.Iters; i++ {
-				resp, err := client.Get(front.URL + path)
-				if err != nil {
+				if err := doOp(client, front.URL, op); err != nil {
 					return err
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					return fmt.Errorf("%s: status %d", path, resp.StatusCode)
 				}
 			}
 			return nil
@@ -175,12 +169,9 @@ func BenchObsTrace(cfg ObsTraceConfig, w io.Writer) (*ObsTraceResult, error) {
 
 	// countRemoteSpans verifies the traced topology actually folds shard
 	// spans: issue one request, then read the newest matching ring trace.
-	countRemoteSpans := func(front *httptest.Server, path string) (int, error) {
-		if resp, err := front.Client().Get(front.URL + path); err != nil {
+	countRemoteSpans := func(front *httptest.Server, op loadOp) (int, error) {
+		if err := doOp(front.Client(), front.URL, op); err != nil {
 			return 0, err
-		} else {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
 		}
 		resp, err := front.Client().Get(front.URL + "/v1/debug/traces")
 		if err != nil {
@@ -194,7 +185,7 @@ func BenchObsTrace(cfg ObsTraceConfig, w io.Writer) (*ObsTraceResult, error) {
 			return 0, err
 		}
 		for _, tr := range body.Traces { // newest first
-			if !strings.HasPrefix(path, tr.Name) {
+			if !strings.HasPrefix(op.path, tr.Name) {
 				continue
 			}
 			count := 0
@@ -208,7 +199,7 @@ func BenchObsTrace(cfg ObsTraceConfig, w io.Writer) (*ObsTraceResult, error) {
 			}
 			return count, nil
 		}
-		return 0, fmt.Errorf("no ring trace for %s", path)
+		return 0, fmt.Errorf("no ring trace for %s", op.path)
 	}
 
 	untracedFront, closeUntraced := obsCluster(cfg, full,
@@ -219,7 +210,8 @@ func BenchObsTrace(cfg ObsTraceConfig, w io.Writer) (*ObsTraceResult, error) {
 
 	tw := newTable(w)
 	fmt.Fprintln(tw, "endpoint\tuntraced ns/op\ttraced ns/op\toverhead\tremote spans")
-	for _, path := range endpoints {
+	for _, op := range endpoints {
+		label := strings.TrimSpace(op.method + " " + op.path + " " + op.body)
 		// Interleave traced and untraced batches rep by rep and keep the rep
 		// with the lowest traced/untraced ratio: ambient contention (GC,
 		// scheduler) is one-sided additive noise, so the cleanest paired rep
@@ -227,13 +219,13 @@ func BenchObsTrace(cfg ObsTraceConfig, w io.Writer) (*ObsTraceResult, error) {
 		var untraced, traced int64
 		bestRatio := 0.0
 		for rep := 0; rep < cfg.Reps; rep++ {
-			u, err := timeBatch(untracedFront, path)
+			u, err := timeBatch(untracedFront, op)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: obstrace untraced %s: %w", path, err)
+				return nil, fmt.Errorf("experiments: obstrace untraced %s: %w", label, err)
 			}
-			tr, err := timeBatch(tracedFront, path)
+			tr, err := timeBatch(tracedFront, op)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: obstrace traced %s: %w", path, err)
+				return nil, fmt.Errorf("experiments: obstrace traced %s: %w", label, err)
 			}
 			if rep == 0 {
 				continue // warmup: connection setup, caches, JIT'd code paths
@@ -243,13 +235,13 @@ func BenchObsTrace(cfg ObsTraceConfig, w io.Writer) (*ObsTraceResult, error) {
 				untraced, traced, bestRatio = u, tr, ratio
 			}
 		}
-		spans, err := countRemoteSpans(tracedFront, path)
+		spans, err := countRemoteSpans(tracedFront, op)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: obstrace spans %s: %w", path, err)
+			return nil, fmt.Errorf("experiments: obstrace spans %s: %w", label, err)
 		}
 		overhead := 100 * (float64(traced) - float64(untraced)) / float64(untraced)
 		b := ObsTraceBench{
-			Endpoint: path, UntracedNs: untraced, TracedNs: traced,
+			Endpoint: label, UntracedNs: untraced, TracedNs: traced,
 			OverheadPct: overhead, RemoteSpans: spans,
 		}
 		res.Benches = append(res.Benches, b)

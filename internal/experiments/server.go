@@ -18,7 +18,8 @@ import (
 )
 
 // ServerConfig sizes the serving-layer benchmark: Clients concurrent
-// clients each issue Requests queries (a mix of /cell, /row and /agg)
+// clients each issue Requests queries (a mix of /v1/cell, /v1/row and
+// POST /v1/aggregate)
 // against an SVDD-compressed phone matrix served by internal/server, once
 // with the row cache disabled and once at CacheRows. Cell and row indices
 // are Zipf-skewed — decision-support traffic revisits hot customers — which
@@ -108,7 +109,7 @@ func BenchServer(cfg ServerConfig, w io.Writer) (*ServerResult, error) {
 			return nil, err
 		}
 		res.Runs = append(res.Runs, *r)
-		cell := r.Endpoints["/cell"]
+		cell := r.Endpoints["/v1/cell"]
 		fmt.Fprintf(tw, "%s\t%.0f\t%.3f\t%.3f\t%.2f\t%d\n",
 			r.Label, r.Throughput, cell.P50Ms, cell.P99Ms, r.HitRate, r.URowReads)
 	}
@@ -138,29 +139,22 @@ func benchServerRun(st *core.Store, cfg ServerConfig, label string, cacheRows in
 			zipf := rand.NewZipf(rng, 1.2, 1, uint64(n-1))
 			client := &http.Client{Timeout: 30 * time.Second}
 			for it := 0; it < cfg.Requests; it++ {
-				var url string
+				var op loadOp
 				switch {
 				case it%10 < 6: // 60% single cells
-					url = fmt.Sprintf("%s/cell?i=%d&j=%d", ts.URL, zipf.Uint64(), rng.Intn(m))
+					op = loadOp{method: http.MethodGet,
+						path: fmt.Sprintf("/v1/cell?i=%d&j=%d", zipf.Uint64(), rng.Intn(m))}
 				case it%10 < 8: // 20% whole rows
-					url = fmt.Sprintf("%s/row?i=%d", ts.URL, zipf.Uint64())
+					op = loadOp{method: http.MethodGet, path: fmt.Sprintf("/v1/row?i=%d", zipf.Uint64())}
 				default: // 20% small aggregates
 					lo := rng.Intn(n - 10)
 					cl := rng.Intn(m - 10)
-					url = fmt.Sprintf("%s/agg?f=avg&rows=%d:%d&cols=%d:%d",
-						ts.URL, lo, lo+10, cl, cl+10)
+					op = loadOp{method: http.MethodPost, path: "/v1/aggregate",
+						body: fmt.Sprintf(`{"f":"avg","rows":"%d:%d","cols":"%d:%d"}`, lo, lo+10, cl, cl+10)}
 				}
-				resp, err := client.Get(url)
-				if err != nil {
+				if err := doOp(client, ts.URL, op); err != nil {
 					errCount.Add(1)
-					firstErr.CompareAndSwap(nil, fmt.Errorf("GET %s: %w", url, err))
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errCount.Add(1)
-					firstErr.CompareAndSwap(nil, fmt.Errorf("GET %s: status %d", url, resp.StatusCode))
+					firstErr.CompareAndSwap(nil, err)
 				}
 			}
 		}(cfg.Seed + int64(c))

@@ -27,9 +27,9 @@ func TestBenchServerSmall(t *testing.T) {
 		if run.URowReads <= 0 {
 			t.Errorf("%s: no U-row reads recorded", run.Label)
 		}
-		cell, ok := run.Endpoints["/cell"]
+		cell, ok := run.Endpoints["/v1/cell"]
 		if !ok || cell.Count == 0 {
-			t.Errorf("%s: missing /cell latency", run.Label)
+			t.Errorf("%s: missing /v1/cell latency", run.Label)
 		}
 	}
 	nc, cached := res.Runs[0], res.Runs[1]

@@ -504,6 +504,11 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("query: partial rank %d out of bounds", k)
 	}
 	p.K = k
+	// The rank and flags fix the frame length; checking it before
+	// allocating keeps a forged rank from costing k² accumulators.
+	if want := p.encodedSize(); len(data) != want {
+		return fmt.Errorf("query: partial frame of rank %d is %d bytes, want %d", k, len(data), want)
+	}
 	p.RowSum = make([]exact.Sum, k)
 	p.ColSum = make([]exact.Sum, k)
 	p.Sigma = make([]float64, k)

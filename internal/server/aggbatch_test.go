@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"seqstore/internal/api"
 	"seqstore/internal/ingest"
 	"seqstore/internal/query"
 )
@@ -31,7 +32,8 @@ func postAggBatch(t *testing.T, srvURL, body string, wantStatus int) map[string]
 }
 
 // TestAggBatchEndpoint: a batch of aggregates returns, per item, exactly
-// what the single /v1/agg endpoint returns for the same (f, rows, cols).
+// what the single /v1/aggregate endpoint returns for the same (f, rows,
+// cols).
 func TestAggBatchEndpoint(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
 	queries := []struct{ f, rows, cols string }{
@@ -59,7 +61,8 @@ func TestAggBatchEndpoint(t *testing.T) {
 		if item["status"].(float64) != http.StatusOK {
 			t.Fatalf("query %d: status %v: %v", qi, item["status"], item["error"])
 		}
-		single := getJSON(t, srv.URL+fmt.Sprintf("/v1/agg?f=%s&rows=%s&cols=%s", q.f, q.rows, q.cols), http.StatusOK)
+		single := postJSON(t, srv.URL+"/v1/aggregate",
+			fmt.Sprintf(`{"f":%q,"rows":%q,"cols":%q}`, q.f, q.rows, q.cols), http.StatusOK)
 		if item["value"] != single["value"] {
 			t.Errorf("query %d (%s): batch %v != single %v", qi, q.f, item["value"], single["value"])
 		}
@@ -123,7 +126,7 @@ func TestAggBatchRequestValidation(t *testing.T) {
 func TestPlanCacheMetrics(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
 	for i := 0; i < 3; i++ {
-		getJSON(t, srv.URL+"/v1/agg?f=min&rows=0:60&cols=0:24", http.StatusOK)
+		postJSON(t, srv.URL+"/v1/aggregate", `{"f":"min","rows":"0:60","cols":"0:24"}`, http.StatusOK)
 	}
 	metrics := getJSON(t, srv.URL+"/v1/metrics", http.StatusOK)
 	pc := metrics["plan_cache"].(map[string]interface{})
@@ -143,7 +146,7 @@ func TestPlanCacheMetrics(t *testing.T) {
 // still answer and the metrics section says disabled.
 func TestPlanCacheDisabled(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{PlanCacheSize: -1})
-	getJSON(t, srv.URL+"/v1/agg?f=min&rows=0:60&cols=0:24", http.StatusOK)
+	postJSON(t, srv.URL+"/v1/aggregate", `{"f":"min","rows":"0:60","cols":"0:24"}`, http.StatusOK)
 	metrics := getJSON(t, srv.URL+"/v1/metrics", http.StatusOK)
 	pc := metrics["plan_cache"].(map[string]interface{})
 	if pc["enabled"] != false {
@@ -159,10 +162,17 @@ func TestPlanCacheDisabled(t *testing.T) {
 // to a cold, cache-free evaluation over the post-fold store — a stale
 // pre-fold panel would show up as a wrong sum over the folded rows.
 func TestPlanCacheInvalidationUnderIngestion(t *testing.T) {
-	aggQueries := []string{
-		"/v1/agg?f=sum&rows=0:36&cols=0:24",
-		"/v1/agg?f=stddev&rows=0:40&cols=0:48",
-		"/v1/agg?f=min&rows=8:36&cols=4:20",
+	aggQueries := []api.AggregateRequest{
+		{F: "sum", Rows: "0:36", Cols: "0:24"},
+		{F: "stddev", Rows: "0:40", Cols: "0:48"},
+		{F: "min", Rows: "8:36", Cols: "4:20"},
+	}
+	bodyOf := func(q api.AggregateRequest) string {
+		raw, err := json.Marshal(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
 	}
 	for _, workers := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("writers=%d", workers), func(t *testing.T) {
@@ -199,15 +209,16 @@ func TestPlanCacheInvalidationUnderIngestion(t *testing.T) {
 				go func(w int) { // reader: warms and re-warms the plan cache
 					defer wg.Done()
 					for n := 0; n < iters; n++ {
-						for _, path := range aggQueries {
-							resp, err := http.Get(srv.URL + path)
+						for _, q := range aggQueries {
+							resp, err := http.Post(srv.URL+"/v1/aggregate", "application/json",
+								strings.NewReader(bodyOf(q)))
 							if err != nil {
 								errc <- err
 								return
 							}
 							resp.Body.Close()
 							if resp.StatusCode != http.StatusOK {
-								errc <- fmt.Errorf("reader %d: %s status %d", w, path, resp.StatusCode)
+								errc <- fmt.Errorf("reader %d: %+v status %d", w, q, resp.StatusCode)
 								return
 							}
 						}
@@ -232,24 +243,18 @@ func TestPlanCacheInvalidationUnderIngestion(t *testing.T) {
 			// evaluation of the post-fold store, bit for bit. The handler
 			// evaluates at QueryWorkers=2, so the reference does too
 			// (summation order is deterministic per worker count).
-			for _, path := range aggQueries {
-				served := getJSON(t, srv.URL+path, http.StatusOK)
-				q := strings.SplitN(path, "?", 2)[1]
-				params := map[string]string{}
-				for _, kv := range strings.Split(q, "&") {
-					k, v, _ := strings.Cut(kv, "=")
-					params[k] = v
-				}
-				agg, err := query.ParseAggregate(params["f"])
+			for _, q := range aggQueries {
+				served := postJSON(t, srv.URL+"/v1/aggregate", bodyOf(q), http.StatusOK)
+				agg, err := query.ParseAggregate(q.F)
 				if err != nil {
 					t.Fatal(err)
 				}
 				n, m := ti.Dims()
-				rows, err := query.ParseIndexSpec(params["rows"], n)
+				rows, err := query.ParseIndexSpec(q.Rows, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cols, err := query.ParseIndexSpec(params["cols"], m)
+				cols, err := query.ParseIndexSpec(q.Cols, m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -259,8 +264,8 @@ func TestPlanCacheInvalidationUnderIngestion(t *testing.T) {
 					t.Fatal(err)
 				}
 				if served["value"].(float64) != want {
-					t.Errorf("%s: served %v != cold post-fold evaluation %v (stale plan?)",
-						path, served["value"], want)
+					t.Errorf("%+v: served %v != cold post-fold evaluation %v (stale plan?)",
+						q, served["value"], want)
 				}
 			}
 		})

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"seqstore/internal/api"
 	"seqstore/internal/core"
 	"seqstore/internal/dataset"
 	"seqstore/internal/ingest"
@@ -187,6 +189,69 @@ func TestBulkPerItemErrors(t *testing.T) {
 	}
 }
 
+// TestBulkDocumentLimit: one document past the batch limit fails the whole
+// request with 400 — rejected documents count, so a stream of invalid
+// documents cannot grow the per-item response without bound.
+func TestBulkDocumentLimit(t *testing.T) {
+	srv, _, ti, _ := newWritableServer(t, Options{MaxBatchRows: 4}, ingest.Options{DisableBackground: true})
+	var body strings.Builder
+	for k := 0; k < 5; k++ {
+		body.WriteString(bulkLine(t, "short", []float64{1})) // wrong width
+	}
+	out, _ := postBulk(t, srv.URL, body.String(), http.StatusBadRequest)
+	if !strings.Contains(errMessage(t, out), "exceeds limit 4") {
+		t.Errorf("error = %v", out["error"])
+	}
+	// At the limit the request is served, one 400 item per document.
+	one := bulkLine(t, "short", []float64{1})
+	out, _ = postBulk(t, srv.URL, strings.Repeat(one, 4), http.StatusOK)
+	if items := out["items"].([]interface{}); len(items) != 4 || !out["errors"].(bool) {
+		t.Errorf("4 invalid documents: %v", out)
+	}
+	if ti.HotRows() != 0 {
+		t.Errorf("hot rows = %d, want 0", ti.HotRows())
+	}
+}
+
+// blankLines yields n bytes of whitespace-only NDJSON lines.
+type blankLines struct{ n int64 }
+
+func (b *blankLines) Read(p []byte) (int, error) {
+	if b.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > b.n {
+		p = p[:b.n]
+	}
+	for i := range p {
+		p[i] = ' '
+		if i%4096 == 4095 {
+			p[i] = '\n'
+		}
+	}
+	b.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestBulkBodyLimit: a body past api.MaxBulkBody fails with 400 even when
+// it holds a single document, and nothing is appended.
+func TestBulkBodyLimit(t *testing.T) {
+	srv, _, ti, _ := newWritableServer(t, Options{}, ingest.Options{DisableBackground: true})
+	body := io.MultiReader(strings.NewReader(bulkLine(t, "w-0", rampRow(48, 1))),
+		&blankLines{n: api.MaxBulkBody})
+	resp, err := http.Post(srv.URL+"/v1/bulk", "application/x-ndjson", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized body: status %d, want 400", resp.StatusCode)
+	}
+	if ti.HotRows() != 0 {
+		t.Errorf("hot rows = %d, want 0", ti.HotRows())
+	}
+}
+
 func TestBulkOnReadOnlyStoreIs403(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
 	out, _ := postBulk(t, srv.URL, bulkLine(t, "x", rampRow(366, 1)), http.StatusForbidden)
@@ -267,7 +332,7 @@ func TestBulkCacheInvalidation(t *testing.T) {
 }
 
 // TestBulkReadWriteHammer interleaves HTTP bulk writes with /v1/rows reads
-// and /v1/agg aggregations while the background compactor folds rows, at
+// and /v1/aggregate aggregations while the background compactor folds rows, at
 // several concurrency levels. Run with -race this is the acceptance drill
 // for the tier's locking protocol at the serving layer.
 func TestBulkReadWriteHammer(t *testing.T) {
@@ -307,8 +372,15 @@ func TestBulkReadWriteHammer(t *testing.T) {
 				go func(w int) { // reader
 					defer wg.Done()
 					for n := 0; n < iters; n++ {
-						for _, path := range []string{"/v1/rows?i=0:8", "/v1/agg?f=sum&rows=0:16&cols=0:10", "/v1/cell?i=39&j=7"} {
-							resp, err := http.Get(srv.URL + path)
+						for _, path := range []string{"/v1/rows?i=0:8", "/v1/aggregate", "/v1/cell?i=39&j=7"} {
+							var resp *http.Response
+							var err error
+							if path == "/v1/aggregate" {
+								resp, err = http.Post(srv.URL+path, "application/json",
+									strings.NewReader(`{"f":"sum","rows":"0:16","cols":"0:10"}`))
+							} else {
+								resp, err = http.Get(srv.URL + path)
+							}
 							if err != nil {
 								errc <- err
 								return

@@ -1,11 +1,13 @@
 // Package server is the production HTTP serving layer over a compressed
 // store: the decision-support front end of the paper's warehouse setting,
-// hardened for real traffic. It hosts the JSON query API (single and batch
-// cell/row endpoints, aggregates over index-spec selections, axis-label
-// addressing), a sharded LRU row cache in front of reconstruction, and a
-// /metrics endpoint exposing per-endpoint latency histograms together with
-// the matio disk-access counters — so the paper's one-access-per-cell
-// claim is verifiable live under load.
+// hardened for real traffic. It hosts the /v1 JSON query API (single and
+// batch cell/row endpoints, aggregates over index-spec selections,
+// axis-label addressing), a sharded LRU row cache in front of
+// reconstruction, and a /v1/metrics endpoint exposing per-endpoint latency
+// histograms together with the matio disk-access counters — so the paper's
+// one-access-per-cell claim is verifiable live under load. Request IDs,
+// tracing, cost headers and the request log come from the middleware the
+// proxy shares (api.Mux).
 //
 // The package works on the internal store interfaces (store.Store +
 // store.Labels) rather than the public facade, so the experiments harness
@@ -16,15 +18,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"seqstore/internal/api"
@@ -38,41 +37,34 @@ import (
 	"seqstore/internal/trace"
 )
 
-// Default batch-endpoint bounds; see Options.
-const (
-	DefaultMaxBatchCells = 10000
-	DefaultMaxBatchRows  = 1024
-	// DefaultMaxBatchQueries bounds one /v1/aggregate/batch request. Each
-	// query is a full aggregate evaluation, so the default is conservative.
-	DefaultMaxBatchQueries = 64
-	// DefaultPlanCacheSize is the query-plan cache capacity when
-	// Options.PlanCacheSize is 0. A plan is a selection's V panel, run
-	// schedule and column index — small relative to a row cache entry — so
-	// the default comfortably covers a dashboard's working set.
-	DefaultPlanCacheSize = 256
-)
+// DefaultPlanCacheSize is the query-plan cache capacity when
+// Options.PlanCacheSize is 0. A plan is a selection's V panel, run schedule
+// and column index — small relative to a row cache entry — so the default
+// comfortably covers a dashboard's working set.
+const DefaultPlanCacheSize = 256
 
 // Options configures a Handler.
 type Options struct {
 	// CacheRows is the capacity, in rows, of the LRU reconstruction cache
-	// fronting /cell, /row and the batch endpoints. 0 disables the cache
-	// (every request reconstructs from the compressed form).
+	// fronting /v1/cell, /v1/row and the batch endpoints. 0 disables the
+	// cache (every request reconstructs from the compressed form).
 	CacheRows int
-	// MaxBatchCells bounds one /cells request; 0 means
-	// DefaultMaxBatchCells.
+	// MaxBatchCells bounds one /v1/cells request; 0 means
+	// api.DefaultMaxBatchCells.
 	MaxBatchCells int
-	// MaxBatchRows bounds one /rows request; 0 means DefaultMaxBatchRows.
+	// MaxBatchRows bounds one /v1/rows request and the documents of one
+	// /v1/bulk request; 0 means api.DefaultMaxBatchRows.
 	MaxBatchRows int
 	// MaxBatchQueries bounds one /v1/aggregate/batch request; 0 means
-	// DefaultMaxBatchQueries.
+	// api.DefaultMaxBatchQueries.
 	MaxBatchQueries int
 	// PlanCacheSize is the capacity, in memoized query plans, of the plan
-	// cache fronting /v1/agg and /v1/aggregate/batch. 0 selects
+	// cache fronting /v1/aggregate and /v1/aggregate/batch. 0 selects
 	// DefaultPlanCacheSize; negative disables plan caching (every aggregate
 	// re-derives its panel and run schedule).
 	PlanCacheSize int
-	// QueryWorkers shards /agg evaluation across this many goroutines:
-	// 0 means one per CPU, 1 evaluates serially.
+	// QueryWorkers shards aggregate evaluation across this many
+	// goroutines: 0 means one per CPU, 1 evaluates serially.
 	QueryWorkers int
 	// Logger receives the structured request log. nil silences request
 	// logging (traces and metrics still work).
@@ -110,23 +102,21 @@ type Handler struct {
 	hits, misses *telemetry.Counter
 	corruptions  *telemetry.Counter // store reads that surfaced ErrCorrupt
 
-	tel  *telemetry.Registry
-	mux  *http.ServeMux
-	log  *slog.Logger
-	ring *trace.Ring
+	mux *api.Mux
+	tel *telemetry.Registry // the mux's registry
 }
 
 // NewHandler builds the HTTP API around an open store and optional axis
 // labels.
 func NewHandler(st store.Store, labels *store.Labels, opts Options) *Handler {
 	if opts.MaxBatchCells <= 0 {
-		opts.MaxBatchCells = DefaultMaxBatchCells
+		opts.MaxBatchCells = api.DefaultMaxBatchCells
 	}
 	if opts.MaxBatchRows <= 0 {
-		opts.MaxBatchRows = DefaultMaxBatchRows
+		opts.MaxBatchRows = api.DefaultMaxBatchRows
 	}
 	if opts.MaxBatchQueries <= 0 {
-		opts.MaxBatchQueries = DefaultMaxBatchQueries
+		opts.MaxBatchQueries = api.DefaultMaxBatchQueries
 	}
 	if opts.PlanCacheSize == 0 {
 		opts.PlanCacheSize = DefaultPlanCacheSize
@@ -135,21 +125,15 @@ func NewHandler(st store.Store, labels *store.Labels, opts Options) *Handler {
 		st:     st,
 		labels: labels,
 		opts:   opts,
-		tel:    telemetry.NewRegistry(),
-		mux:    http.NewServeMux(),
-		log:    opts.Logger,
-		ring:   trace.NewRing(opts.TraceBuffer),
+		mux: api.NewMux(api.MuxConfig{
+			Logger:       opts.Logger,
+			SlowQuery:    opts.SlowQuery,
+			TraceBuffer:  opts.TraceBuffer,
+			SLOObjective: opts.SLOObjective,
+			SLOTarget:    opts.SLOTarget,
+		}),
 	}
-	if h.log == nil {
-		h.log = slog.New(slog.DiscardHandler)
-	}
-	if opts.SLOObjective > 0 {
-		target := opts.SLOTarget
-		if target <= 0 {
-			target = 0.99
-		}
-		h.tel.SetSLO(float64(opts.SLOObjective)/float64(time.Millisecond), target)
-	}
+	h.tel = h.mux.Telemetry()
 	if labels != nil {
 		h.rowIndex = indexLabels(labels.Rows)
 		h.colIndex = indexLabels(labels.Cols)
@@ -193,41 +177,21 @@ func NewHandler(st store.Store, labels *store.Labels, opts Options) *Handler {
 		)
 	}
 	h.registerGauges()
-	h.route("info", h.handleInfo)
-	h.route("cell", h.handleCell)
-	h.route("cells", h.handleCells)
-	h.route("row", h.handleRow)
-	h.route("rows", h.handleRows)
-	// The GET query-param aggregate form is kept for existing clients but
-	// deprecated in favor of POST /v1/aggregate (same JSON item schema as
-	// the batch endpoint), following the /agg → /v1/agg precedent.
-	h.handle("/v1/agg", deprecatedBy("/v1/aggregate", h.handleAgg))
-	h.handle("/agg", deprecatedBy("/v1/aggregate", h.handleAgg))
-	h.route("metrics", h.handleMetrics)
-	h.route("healthz", h.handleHealthz)
-	h.handle(tracesPattern, h.handleTraces)
-	// The write endpoint has no legacy alias; it is registered even on a
-	// read-only store so clients get a clear 403 instead of a 404.
-	h.handleMethod("/v1/bulk", http.MethodPost, h.handleBulk)
-	h.handleMethod("/v1/aggregate", http.MethodPost, h.handleAggregate)
-	h.handleMethod("/v1/aggregate/batch", http.MethodPost, h.handleAggBatch)
+	get, post := http.MethodGet, http.MethodPost
+	h.mux.Handle(get, "/v1/info", h.handleInfo)
+	h.mux.Handle(get, "/v1/cell", h.handleCell)
+	h.mux.Handle(get, "/v1/cells", h.handleCells)
+	h.mux.Handle(get, "/v1/row", h.handleRow)
+	h.mux.Handle(get, "/v1/rows", h.handleRows)
+	h.mux.Handle(get, "/v1/metrics", h.handleMetrics)
+	h.mux.Handle(get, "/v1/healthz", h.handleHealthz)
+	h.mux.Handle(post, "/v1/aggregate", h.handleAggregate)
+	h.mux.Handle(post, "/v1/aggregate/batch", h.handleAggBatch)
+	// Registered even on a read-only store so clients get a clear 403
+	// instead of a 404.
+	h.mux.Handle(post, "/v1/bulk", h.handleBulk)
 	return h
 }
-
-// deprecatedBy wraps an endpoint that still works but has a preferred
-// successor, advertising it with the standard Deprecation and Link headers.
-func deprecatedBy(successor string, fn http.HandlerFunc) http.HandlerFunc {
-	link := fmt.Sprintf("<%s>; rel=\"successor-version\"", successor)
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", link)
-		fn(w, r)
-	}
-}
-
-// tracesPattern is the trace-ring endpoint; it is excluded from its own
-// ring so inspecting traces doesn't churn them.
-const tracesPattern = "/v1/debug/traces"
 
 // registerGauges wires the store, IO, cache and SVDD counters into the
 // registry as collection-time gauges, so the Prometheus rendering covers the
@@ -333,16 +297,6 @@ func (h *Handler) registerGauges() {
 	}
 }
 
-// route registers one endpoint under the versioned API prefix ("/v1/cell")
-// and at its pre-versioning path ("/cell"). The legacy alias serves the
-// same handler but marks itself deprecated with the standard Deprecation
-// header and a Link to the successor, so existing clients keep working
-// while new ones are steered to /v1/.
-func (h *Handler) route(name string, fn http.HandlerFunc) {
-	h.handle("/v1/"+name, fn)
-	h.handle("/"+name, deprecatedBy("/v1/"+name, fn))
-}
-
 // ServeHTTP dispatches to the instrumented endpoint handlers.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
@@ -363,153 +317,6 @@ func (h *Handler) CacheStats() (hits, misses int64, size, capacity int) {
 // the plan cache is disabled.
 func (h *Handler) PlanStats() query.PlanCacheStats {
 	return h.plans.Stats()
-}
-
-// handle registers an instrumented GET-only endpoint; see handleMethod.
-func (h *Handler) handle(pattern string, fn http.HandlerFunc) {
-	h.handleMethod(pattern, http.MethodGet, fn)
-}
-
-// handleMethod registers an instrumented single-verb endpoint: every
-// request is counted, timed and traced. The middleware assigns (or echoes)
-// a request ID, threads a trace with its cost ledger through the request
-// context into the store and query layers, writes the X-Request-Id and
-// X-Cost-Disk-Accesses response headers, retires the finished trace into the
-// /v1/debug/traces ring, and emits the structured request log (Debug
-// normally, Warn above the slow-query threshold, Error on 5xx). Other verbs
-// get 405 with an Allow header; responses with status ≥ 400 count as
-// errors.
-func (h *Handler) handleMethod(pattern, method string, fn http.HandlerFunc) {
-	ep := h.tel.Endpoint(pattern)
-	h.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ep.Requests.Inc()
-
-		id := trace.SanitizeRequestID(r.Header.Get("X-Request-Id"))
-		if id == "" {
-			id = trace.NewRequestID()
-		}
-		// The trace is named by the endpoint pattern, never the raw URL:
-		// query strings can carry customer labels, and /v1/debug/traces
-		// serves trace names verbatim. A valid inbound traceparent (the
-		// proxy hop) is adopted so this node's spans join the caller's
-		// distributed trace; anything malformed degrades to a fresh root.
-		parent, hasParent := trace.ParseTraceparent(r.Header.Get(trace.HeaderTraceparent))
-		tr := trace.New(id, pattern)
-		if hasParent {
-			tr = trace.NewChild(id, pattern, parent)
-		}
-		logger := h.log.With("request_id", id)
-		ctx := trace.WithLogger(trace.NewContext(r.Context(), tr), logger)
-		r = r.WithContext(ctx)
-
-		sw := &statusWriter{ResponseWriter: w}
-		// Cost headers must precede the body. Handlers buffer their JSON and
-		// commit in one WriteHeader (api.WriteJSON), so the ledger is final
-		// by the time the first byte is committed. The full X-Cost-* set is
-		// emitted so a proxy can fold this node's ledger into its own.
-		sw.beforeHeader = func() {
-			hdr := sw.Header()
-			hdr.Set(trace.HeaderRequestID, id)
-			trace.EncodeCostHeaders(hdr, tr.Ledger.Snapshot())
-			// Traced callers (the proxy) also get a bounded summary of
-			// this node's spans, so the front-door trace ring can show
-			// shard-side timing under the one distributed trace id.
-			if hasParent {
-				if spans := trace.EncodeSpanHeader(tr.Spans()); spans != "" {
-					hdr.Set(trace.HeaderSpans, spans)
-				}
-			}
-		}
-
-		if r.Method != method {
-			sw.Header().Set("Allow", method)
-			api.WriteErrorDetail(sw, http.StatusMethodNotAllowed, api.ErrorDetail{
-				Code:      api.CodeMethodNotAllowed,
-				Message:   fmt.Sprintf("method %s not allowed; use %s", r.Method, method),
-				RequestID: id,
-			})
-		} else {
-			fn(sw, r)
-		}
-
-		elapsed := time.Since(start)
-		ep.Latency.Observe(elapsed)
-		if sw.status >= http.StatusBadRequest {
-			ep.Errors.Inc()
-		}
-		snap := tr.Finish(sw.status)
-		if pattern != tracesPattern {
-			h.ring.Put(snap)
-		}
-		h.logRequest(logger, pattern, snap, elapsed)
-	})
-}
-
-// logRequest emits one structured line per request. Normal traffic logs at
-// Debug (cheap to filter out); requests above the slow-query threshold log
-// at Warn with the full cost ledger, and 5xx responses at Error.
-func (h *Handler) logRequest(logger *slog.Logger, pattern string, snap *trace.TraceSnapshot, elapsed time.Duration) {
-	slow := h.opts.SlowQuery > 0 && elapsed >= h.opts.SlowQuery
-	level := slog.LevelDebug
-	msg := "request"
-	switch {
-	case snap.Status >= http.StatusInternalServerError:
-		level = slog.LevelError
-		msg = "request failed"
-	case slow:
-		level = slog.LevelWarn
-		msg = "slow query"
-	}
-	if !logger.Enabled(context.Background(), level) {
-		return
-	}
-	args := []any{
-		"endpoint", pattern,
-		"status", snap.Status,
-		"duration_ms", float64(elapsed.Microseconds()) / 1e3,
-		"trace_id", snap.TraceID,
-	}
-	if slow || level >= slog.LevelWarn {
-		c := snap.Cost
-		args = append(args,
-			"disk_accesses", c.DiskAccesses,
-			"rows_read", c.RowsRead,
-			"pages_touched", c.PagesTouched,
-			"cache_hits", c.CacheHits,
-			"cache_misses", c.CacheMisses,
-			"deltas_probed", c.DeltasProbed,
-			"worker_chunks", c.WorkerChunks,
-		)
-	}
-	logger.Log(context.Background(), level, msg, args...)
-}
-
-// statusWriter records the status code written by a handler so the
-// instrumentation can classify the response after the fact, and runs the
-// beforeHeader hook exactly once, immediately before the status line is
-// committed — the last moment response headers can still be set.
-type statusWriter struct {
-	http.ResponseWriter
-	status       int
-	beforeHeader func()
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-		if w.beforeHeader != nil {
-			w.beforeHeader()
-		}
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
-	}
-	return w.ResponseWriter.Write(b)
 }
 
 // --- Read paths (row cache) ------------------------------------------------
@@ -630,11 +437,11 @@ func (h *Handler) handleInfo(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) handleCell(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	// Label-addressed form: /cell?row=GHI+Inc.&col=We
+	// Label-addressed form: /v1/cell?row=GHI+Inc.&col=We
 	if rl, cl := q.Get("row"), q.Get("col"); rl != "" || cl != "" {
 		i, j, err := h.resolveLabels(rl, cl)
 		if err != nil {
-			api.WriteInvalid(w, r, err.Error())
+			api.WriteError(w, r, err)
 			return
 		}
 		v, err := h.cell(r.Context(), i, j)
@@ -648,8 +455,7 @@ func (h *Handler) handleCell(w http.ResponseWriter, r *http.Request) {
 	i, err1 := strconv.Atoi(q.Get("i"))
 	j, err2 := strconv.Atoi(q.Get("j"))
 	if err1 != nil || err2 != nil {
-		api.WriteInvalid(w, r,
-			"cell needs integer i and j (or label row and col) parameters")
+		api.WriteError(w, r, api.Invalidf("cell needs integer i and j (or label row and col) parameters"))
 		return
 	}
 	v, err := h.cell(r.Context(), i, j)
@@ -670,35 +476,12 @@ func cellBody(i, j int, rowLabel, colLabel string, v float64) api.CellResponse {
 }
 
 // handleCells answers a batch of cell lookups in one request:
-// /cells?at=5:100,7:200 (repeated at= parameters also accepted), amortizing
-// per-request HTTP overhead across many reconstructions.
+// /v1/cells?at=5:100,7:200 (repeated at= parameters also accepted),
+// amortizing per-request HTTP overhead across many reconstructions.
 func (h *Handler) handleCells(w http.ResponseWriter, r *http.Request) {
-	specs := r.URL.Query()["at"]
-	var coords [][2]int
-	for _, spec := range specs {
-		for _, part := range strings.Split(spec, ",") {
-			part = strings.TrimSpace(part)
-			is, js, ok := strings.Cut(part, ":")
-			if !ok {
-				api.WriteInvalid(w, r, fmt.Sprintf("bad cell %q: want i:j", part))
-				return
-			}
-			i, err1 := strconv.Atoi(strings.TrimSpace(is))
-			j, err2 := strconv.Atoi(strings.TrimSpace(js))
-			if err1 != nil || err2 != nil {
-				api.WriteInvalid(w, r, fmt.Sprintf("bad cell %q: want integer i:j", part))
-				return
-			}
-			coords = append(coords, [2]int{i, j})
-		}
-	}
-	if len(coords) == 0 {
-		api.WriteInvalid(w, r, "cells needs at=i:j[,i:j...] parameters")
-		return
-	}
-	if len(coords) > h.opts.MaxBatchCells {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("batch of %d cells exceeds limit %d", len(coords), h.opts.MaxBatchCells))
+	coords, err := api.ParseCells(r.URL.Query()["at"], h.opts.MaxBatchCells)
+	if err != nil {
+		api.WriteError(w, r, err)
 		return
 	}
 	cells := make([]api.CellResponse, 0, len(coords))
@@ -716,7 +499,7 @@ func (h *Handler) handleCells(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handleRow(w http.ResponseWriter, r *http.Request) {
 	i, err := strconv.Atoi(r.URL.Query().Get("i"))
 	if err != nil {
-		api.WriteInvalid(w, r, "row needs an integer i parameter")
+		api.WriteError(w, r, api.Invalidf("row needs an integer i parameter"))
 		return
 	}
 	row, err := h.row(r.Context(), i)
@@ -733,28 +516,13 @@ func rowBody(i int, row []float64) api.RowResponse {
 	return api.RowResponse{I: i, Values: vals, Nonfinite: nonfinite}
 }
 
-// handleRows reconstructs a batch of rows: /rows?i=0:8,17 with the same
-// index-spec syntax as /agg selections (the spec must be non-empty — an
-// unbounded "all rows" response is refused).
+// handleRows reconstructs a batch of rows: /v1/rows?i=0:8,17 with the
+// same index-spec syntax as aggregate selections.
 func (h *Handler) handleRows(w http.ResponseWriter, r *http.Request) {
 	n, _ := h.st.Dims()
-	spec := r.URL.Query().Get("i")
-	if strings.TrimSpace(spec) == "" {
-		api.WriteInvalid(w, r, "rows needs an i index spec, e.g. i=0:8,17")
-		return
-	}
-	idx, err := query.ParseIndexSpec(spec, n)
+	idx, err := api.ParseRows(r.URL.Query().Get("i"), n, h.opts.MaxBatchRows)
 	if err != nil {
-		api.WriteInvalid(w, r, err.Error())
-		return
-	}
-	if len(idx) == 0 {
-		api.WriteInvalid(w, r, "rows selection is empty")
-		return
-	}
-	if len(idx) > h.opts.MaxBatchRows {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("batch of %d rows exceeds limit %d", len(idx), h.opts.MaxBatchRows))
+		api.WriteError(w, r, err)
 		return
 	}
 	rows := make([]api.RowResponse, 0, len(idx))
@@ -769,93 +537,49 @@ func (h *Handler) handleRows(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, api.RowsResponse{Count: len(rows), Rows: rows})
 }
 
-// parsedAgg is one aggregate query after parsing: the aggregate, the
-// resolved selection, and the canonical function name echoed in responses.
-type parsedAgg struct {
-	f   string
-	agg query.Aggregate
-	sel query.Selection
-}
-
-// parseAggQuery resolves an AggregateRequest's (f, rows, cols) against the
-// store's dimensions. F defaults to "avg"; empty specs select full axes.
-func (h *Handler) parseAggQuery(req api.AggregateRequest) (parsedAgg, error) {
-	n, m := h.st.Dims()
-	f := req.F
-	if f == "" {
-		f = "avg"
-	}
-	agg, err := query.ParseAggregate(f)
-	if err != nil {
-		return parsedAgg{}, err
-	}
-	rows, err := query.ParseIndexSpec(req.Rows, n)
-	if err != nil {
-		return parsedAgg{}, fmt.Errorf("rows: %w", err)
-	}
-	cols, err := query.ParseIndexSpec(req.Cols, m)
-	if err != nil {
-		return parsedAgg{}, fmt.Errorf("cols: %w", err)
-	}
-	return parsedAgg{f: f, agg: agg, sel: query.Selection{Rows: rows, Cols: cols}}, nil
-}
-
 // queryOptions is the evaluation configuration shared by every aggregate
 // endpoint.
 func (h *Handler) queryOptions(ctx context.Context) query.Options {
 	return query.Options{Workers: h.opts.QueryWorkers, Ctx: ctx, Plans: h.plans}
 }
 
-// handleAgg is the deprecated GET query-param aggregate form; it shares
-// the evaluation path of POST /v1/aggregate.
-func (h *Handler) handleAgg(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	h.serveAggregate(w, r, api.AggregateRequest{
-		F: q.Get("f"), Rows: q.Get("rows"), Cols: q.Get("cols"),
-	})
-}
-
 // handleAggregate is the typed aggregate endpoint: POST /v1/aggregate with
 // one AggregateRequest body — the same item schema /v1/aggregate/batch
-// takes — replacing the query-param form. With "partial": true the
-// response carries the mergeable partial state instead of a value (the
-// scatter/gather form used between proxy and store nodes).
+// takes. With "partial": true the response carries the mergeable partial
+// state instead of a value (the scatter/gather form used between proxy and
+// store nodes).
 func (h *Handler) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	var req api.AggregateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAggBatchBody))
-	if err := dec.Decode(&req); err != nil {
-		api.WriteInvalid(w, r, fmt.Sprintf("aggregate: malformed JSON body: %v", err))
+	req, err := api.DecodeAggregate(w, r)
+	if err != nil {
+		api.WriteError(w, r, err)
 		return
 	}
-	h.serveAggregate(w, r, req)
-}
-
-func (h *Handler) serveAggregate(w http.ResponseWriter, r *http.Request, req api.AggregateRequest) {
-	pa, err := h.parseAggQuery(req)
+	n, m := h.st.Dims()
+	pa, err := req.Parse(n, m)
 	if err != nil {
-		api.WriteInvalid(w, r, err.Error())
+		api.WriteError(w, r, err)
 		return
 	}
 	sp := trace.StartSpan(r.Context(), "evaluate")
-	sp.SetAttr("f", pa.f)
-	sp.SetAttr("rows", len(pa.sel.Rows))
-	sp.SetAttr("cols", len(pa.sel.Cols))
-	body := api.AggregateResponse{F: pa.f, Rows: len(pa.sel.Rows), Cols: len(pa.sel.Cols)}
+	sp.SetAttr("f", pa.F)
+	sp.SetAttr("rows", len(pa.Sel.Rows))
+	sp.SetAttr("cols", len(pa.Sel.Cols))
+	body := api.AggregateResponse{F: pa.F, Rows: len(pa.Sel.Rows), Cols: len(pa.Sel.Cols)}
 	if req.Partial {
-		p, err := query.EvaluatePartial(h.st, pa.agg, pa.sel, h.queryOptions(r.Context()))
+		p, err := query.EvaluatePartial(h.st, pa.Agg, pa.Sel, h.queryOptions(r.Context()))
 		sp.End()
 		if err != nil {
 			h.fail(w, r, err)
 			return
 		}
-		enc, err := encodePartial(p)
+		enc, err := api.EncodePartial(p)
 		if err != nil {
 			h.fail(w, r, err)
 			return
 		}
 		body.Partial = enc
 	} else {
-		v, err := query.EvaluateOpts(h.st, pa.agg, pa.sel, h.queryOptions(r.Context()))
+		v, err := query.EvaluateOpts(h.st, pa.Agg, pa.Sel, h.queryOptions(r.Context()))
 		sp.End()
 		if err != nil {
 			h.fail(w, r, err)
@@ -874,8 +598,8 @@ func (h *Handler) serveAggregate(w http.ResponseWriter, r *http.Request, req api
 // store reads, no plan-cache traffic) joined with the request's executed
 // ledger, whose plan_hits/plan_misses reveal how the real evaluation fared
 // in the plan cache.
-func (h *Handler) explainBody(ctx context.Context, pa parsedAgg) *api.Explain {
-	ex, err := query.ExplainQuery(h.st, pa.agg, pa.sel, h.queryOptions(ctx))
+func (h *Handler) explainBody(ctx context.Context, pa api.Aggregate) *api.Explain {
+	ex, err := query.ExplainQuery(h.st, pa.Agg, pa.Sel, h.queryOptions(ctx))
 	if err != nil {
 		// The selection validated when the evaluation ran; a failure here
 		// means the store changed shape mid-request — drop the block rather
@@ -911,23 +635,6 @@ func (h *Handler) explainBody(ctx context.Context, pa parsedAgg) *api.Explain {
 	return e
 }
 
-// encodePartial renders a mergeable partial in its wire form: the
-// versioned binary frame, base64-wrapped so it can ride inside JSON
-// (partials carry exact accumulators and possibly-NaN extrema, which JSON
-// numbers cannot).
-func encodePartial(p *query.Partial) (string, error) {
-	raw, err := p.MarshalBinary()
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(raw), nil
-}
-
-// maxAggBatchBody bounds a /v1/aggregate/batch request body. Index specs
-// are compact (ranges, strides); a megabyte of them is a malformed
-// request, not a workload.
-const maxAggBatchBody = 1 << 20
-
 // handleAggBatch evaluates N aggregates in one request through the
 // scan-sharing batch engine: the union of the selections' U rows is
 // fetched once and shared across all queries, so overlapping dashboards
@@ -938,35 +645,25 @@ const maxAggBatchBody = 1 << 20
 // {"took":<ms>,"errors":<bool>,"items":[{"status":200,"f":"sum",...,"value":V},...]}.
 func (h *Handler) handleAggBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req api.BatchAggregateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAggBatchBody))
-	if err := dec.Decode(&req); err != nil {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("aggregate/batch: malformed JSON body: %v", err))
-		return
-	}
-	if len(req.Queries) == 0 {
-		api.WriteInvalid(w, r, `aggregate/batch needs a non-empty "queries" array`)
-		return
-	}
-	if len(req.Queries) > h.opts.MaxBatchQueries {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("batch of %d queries exceeds limit %d", len(req.Queries), h.opts.MaxBatchQueries))
+	req, err := api.DecodeBatch(w, r, h.opts.MaxBatchQueries)
+	if err != nil {
+		api.WriteError(w, r, err)
 		return
 	}
 
+	n, m := h.st.Dims()
 	items := make([]query.BatchItem, len(req.Queries))
-	parsed := make([]parsedAgg, len(req.Queries))
-	parseErrs := make([]string, len(req.Queries))
+	parsed := make([]api.Aggregate, len(req.Queries))
+	parseErrs := make([]error, len(req.Queries))
 	hadErr := false
 	for qi, bq := range req.Queries {
-		pa, err := h.parseAggQuery(bq)
+		pa, err := bq.Parse(n, m)
 		if err != nil {
-			parseErrs[qi], hadErr = err.Error(), true
+			parseErrs[qi], hadErr = err, true
 			continue
 		}
 		parsed[qi] = pa
-		items[qi] = query.BatchItem{Agg: pa.agg, Sel: pa.sel}
+		items[qi] = query.BatchItem{Agg: pa.Agg, Sel: pa.Sel}
 	}
 
 	sp := trace.StartSpan(r.Context(), "evaluate_batch")
@@ -974,16 +671,15 @@ func (h *Handler) handleAggBatch(w http.ResponseWriter, r *http.Request) {
 	sp.SetAttr("partial", req.Partial)
 	out := make([]api.BatchAggregateItem, len(req.Queries))
 	render := func(qi int, rerr error, fill func(it *api.BatchAggregateItem) error) {
-		if parseErrs[qi] != "" {
-			out[qi] = api.BatchAggregateItem{Status: http.StatusBadRequest, Error: parseErrs[qi]}
-			return
+		if parseErrs[qi] != nil {
+			rerr = parseErrs[qi]
 		}
 		if rerr == nil {
 			it := api.BatchAggregateItem{
 				Status: http.StatusOK,
-				F:      parsed[qi].f,
-				Rows:   len(parsed[qi].sel.Rows),
-				Cols:   len(parsed[qi].sel.Cols),
+				F:      parsed[qi].F,
+				Rows:   len(parsed[qi].Sel.Rows),
+				Cols:   len(parsed[qi].Sel.Cols),
 			}
 			rerr = fill(&it)
 			if rerr == nil {
@@ -1010,7 +706,7 @@ func (h *Handler) handleAggBatch(w http.ResponseWriter, r *http.Request) {
 		for qi := range req.Queries {
 			pr := results[qi]
 			render(qi, pr.Err, func(it *api.BatchAggregateItem) error {
-				enc, err := encodePartial(pr.Partial)
+				enc, err := api.EncodePartial(pr.Partial)
 				it.Partial = enc
 				return err
 			})
@@ -1054,16 +750,16 @@ const maxBulkLine = 1 << 20
 // response mirrors the bulk contract:
 // {"took":<ms>,"errors":<bool>,"items":[{"create":{"status":201,"row":N}}]}.
 //
-// Malformed NDJSON (unparseable line, oversized line, more documents than
-// the /v1/rows batch limit) fails the whole request with 400: unlike a
-// value error in one document, the server cannot tell where the next
-// document boundary is.
+// Malformed NDJSON (unparseable line, oversized line) fails the whole
+// request with 400: unlike a value error in one document, the server cannot
+// tell where the next document boundary is. So does a request over its
+// bounds — a body past api.MaxBulkBody, or more documents, valid or not,
+// than the /v1/rows batch limit — as soon as the scan crosses the bound.
 func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
 	if h.writable == nil {
-		api.WriteErrorDetail(w, http.StatusForbidden, api.ErrorDetail{
-			Code:      api.CodeNotWritable,
-			Message:   "store is read-only: start the server on a writable (tiered) store to enable /v1/bulk",
-			RequestID: trace.FromContext(r.Context()).ID(),
+		api.WriteErrorDetail(w, r, http.StatusForbidden, api.ErrorDetail{
+			Code:    api.CodeNotWritable,
+			Message: "store is read-only: start the server on a writable (tiered) store to enable /v1/bulk",
 		})
 		return
 	}
@@ -1076,7 +772,7 @@ func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
 		slot    []int         // items index for each pending document
 		hadErr  bool
 	)
-	sc := bufio.NewScanner(r.Body)
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, api.MaxBulkBody))
 	sc.Buffer(make([]byte, 0, 64*1024), maxBulkLine)
 	lineNo := 0
 	for sc.Scan() {
@@ -1087,8 +783,7 @@ func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
 		}
 		var obj map[string]json.RawMessage
 		if err := json.Unmarshal(line, &obj); err != nil {
-			api.WriteInvalid(w, r,
-				fmt.Sprintf("bulk line %d: malformed JSON: %v", lineNo, err))
+			api.WriteError(w, r, api.Invalidf("bulk line %d: malformed JSON: %v", lineNo, err))
 			return
 		}
 		if _, isDoc := obj["values"]; !isDoc {
@@ -1099,14 +794,17 @@ func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
 				// operation, so the action carries no information.
 				continue
 			}
-			api.WriteInvalid(w, r,
-				fmt.Sprintf("bulk line %d: neither an action ({\"create\":{}}) nor a document with \"values\"", lineNo))
+			api.WriteError(w, r, api.Invalidf("bulk line %d: neither an action ({\"create\":{}}) nor a document with \"values\"", lineNo))
 			return
 		}
 		var d api.BulkDoc
 		if err := json.Unmarshal(line, &d); err != nil {
-			api.WriteInvalid(w, r,
-				fmt.Sprintf("bulk line %d: malformed document: %v", lineNo, err))
+			api.WriteError(w, r, api.Invalidf("bulk line %d: malformed document: %v", lineNo, err))
+			return
+		}
+		if len(items) == h.opts.MaxBatchRows {
+			api.WriteError(w, r, api.Invalidf("bulk line %d: batch of more than %d documents exceeds limit %d",
+				lineNo, h.opts.MaxBatchRows, h.opts.MaxBatchRows))
 			return
 		}
 		// Per-document validation mirrors AppendBatch's checks, so one bad
@@ -1134,17 +832,11 @@ func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
 		pending = append(pending, d)
 	}
 	if err := sc.Err(); err != nil {
-		api.WriteInvalid(w, r, fmt.Sprintf("bulk line %d: %v", lineNo+1, err))
+		api.WriteError(w, r, api.Invalidf("bulk line %d: %v", lineNo+1, err))
 		return
 	}
 	if len(items) == 0 {
-		api.WriteInvalid(w, r,
-			"bulk body has no documents; send NDJSON lines like {\"label\":\"x\",\"values\":[...]}")
-		return
-	}
-	if len(pending) > h.opts.MaxBatchRows {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("batch of %d rows exceeds limit %d", len(pending), h.opts.MaxBatchRows))
+		api.WriteError(w, r, api.Invalidf("bulk body has no documents; send NDJSON lines like {\"label\":\"x\",\"values\":[...]}"))
 		return
 	}
 
@@ -1220,11 +912,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"gauges":            snap.Gauges,
 		"runtime":           snap.Runtime,
 		"store_corruptions": h.corruptions.Load(),
-		"traces": map[string]interface{}{
-			"buffered": len(h.ring.Snapshot()),
-			"capacity": h.ring.Cap(),
-			"total":    h.ring.Total(),
-		},
+		"traces":            h.mux.TraceStats(),
 		"store": map[string]interface{}{
 			"method":         h.st.Method().String(),
 			"rows":           rows,
@@ -1252,33 +940,17 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, body)
 }
 
-// handleTraces serves the ring of recently completed traces, newest first.
-// Trace names are endpoint patterns and request IDs pass SanitizeRequestID,
-// so nothing here can leak a query string or customer label.
-func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
-	traces := h.ring.Snapshot()
-	api.WriteJSON(w, http.StatusOK, map[string]interface{}{
-		"count":    len(traces),
-		"capacity": h.ring.Cap(),
-		"total":    h.ring.Total(),
-		"traces":   traces,
-	})
-}
-
 func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := api.HealthzResponse{Status: "ok"}
-	if h.opts.SLOObjective > 0 {
-		body.SLO = h.tel.Snapshot().SLO
-	}
-	api.WriteJSON(w, http.StatusOK, body)
+	api.WriteJSON(w, http.StatusOK, api.HealthzResponse{Status: "ok", SLO: h.mux.SLO()})
 }
 
 // --- Helpers ---------------------------------------------------------------
 
-// resolveLabels maps a (row label, column label) pair to indices.
+// resolveLabels maps a (row label, column label) pair to indices; an
+// unknown label is the client's error.
 func (h *Handler) resolveLabels(rowLabel, colLabel string) (i, j int, err error) {
 	if h.rowIndex == nil && h.colIndex == nil && h.writable == nil {
-		return 0, 0, errors.New("store has no axis labels")
+		return 0, 0, api.Invalidf("store has no axis labels")
 	}
 	i, ok := h.rowIndex[rowLabel]
 	if !ok && h.writable != nil {
@@ -1287,11 +959,11 @@ func (h *Handler) resolveLabels(rowLabel, colLabel string) (i, j int, err error)
 		i, ok = h.writable.LookupRow(rowLabel)
 	}
 	if !ok {
-		return 0, 0, fmt.Errorf("unknown row label %q", rowLabel)
+		return 0, 0, api.Invalidf("unknown row label %q", rowLabel)
 	}
 	j, ok = h.colIndex[colLabel]
 	if !ok {
-		return 0, 0, fmt.Errorf("unknown column label %q", colLabel)
+		return 0, 0, api.Invalidf("unknown column label %q", colLabel)
 	}
 	return i, j, nil
 }
@@ -1311,19 +983,11 @@ func indexLabels(ss []string) map[string]int {
 	return m
 }
 
-// StatusClientClosedRequest is re-exported from the shared wire contract
-// for existing callers; see api.StatusClientClosedRequest.
-const StatusClientClosedRequest = api.StatusClientClosedRequest
-
 // fail classifies err through the shared api taxonomy, accounts
 // store-corruption surfacing, and writes the unified error envelope.
 func (h *Handler) fail(w http.ResponseWriter, r *http.Request, err error) {
 	status, code := api.Classify(err)
-	api.WriteErrorDetail(w, h.accountStatus(status), api.ErrorDetail{
-		Code:      code,
-		Message:   err.Error(),
-		RequestID: trace.FromContext(r.Context()).ID(),
-	})
+	api.WriteErrorDetail(w, r, h.accountStatus(status), api.ErrorDetail{Code: code, Message: err.Error()})
 }
 
 // accountStatus is the monitoring side channel of error classification:

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"seqstore/internal/api"
 	"seqstore/internal/core"
 	"seqstore/internal/dataset"
 	"seqstore/internal/linalg"
@@ -113,6 +114,21 @@ func getJSON(t *testing.T, url string, wantStatus int) map[string]interface{} {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return decodeJSON(t, url, resp, wantStatus)
+}
+
+// postJSON POSTs a JSON body, checks the status and decodes the response.
+func postJSON(t *testing.T, url, body string, wantStatus int) map[string]interface{} {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decodeJSON(t, url+" "+body, resp, wantStatus)
+}
+
+func decodeJSON(t *testing.T, url string, resp *http.Response, wantStatus int) map[string]interface{} {
+	t.Helper()
 	defer resp.Body.Close()
 	if resp.StatusCode != wantStatus {
 		t.Fatalf("%s: status %d, want %d", url, resp.StatusCode, wantStatus)
@@ -129,7 +145,7 @@ func getJSON(t *testing.T, url string, wantStatus int) map[string]interface{} {
 
 func TestInfoEndpoint(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
-	body := getJSON(t, srv.URL+"/info", http.StatusOK)
+	body := getJSON(t, srv.URL+"/v1/info", http.StatusOK)
 	if body["method"] != "svdd" {
 		t.Errorf("method = %v", body["method"])
 	}
@@ -143,7 +159,7 @@ func TestInfoEndpoint(t *testing.T) {
 
 func TestCellEndpoint(t *testing.T) {
 	srv, _, x := newTestServer(t, Options{})
-	body := getJSON(t, srv.URL+"/cell?i=5&j=100", http.StatusOK)
+	body := getJSON(t, srv.URL+"/v1/cell?i=5&j=100", http.StatusOK)
 	if body["i"].(float64) != 5 || body["j"].(float64) != 100 {
 		t.Errorf("echoed coords wrong: %v", body)
 	}
@@ -155,27 +171,27 @@ func TestCellEndpoint(t *testing.T) {
 		t.Errorf("cell value %v far from actual %v", v, x.At(5, 100))
 	}
 	// Errors.
-	getJSON(t, srv.URL+"/cell?i=5", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/cell?i=abc&j=0", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/cell?i=99999&j=0", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/cell?i=0&j=-1", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/cell?row=Nobody&col=We", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cell?i=5", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cell?i=abc&j=0", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cell?i=99999&j=0", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cell?i=0&j=-1", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cell?row=Nobody&col=We", http.StatusBadRequest)
 }
 
 func TestRowEndpoint(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
-	body := getJSON(t, srv.URL+"/row?i=7", http.StatusOK)
+	body := getJSON(t, srv.URL+"/v1/row?i=7", http.StatusOK)
 	vals := body["values"].([]interface{})
 	if len(vals) != 366 {
 		t.Errorf("row length %d", len(vals))
 	}
-	getJSON(t, srv.URL+"/row?i=-1", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/row", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/row?i=-1", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/row", http.StatusBadRequest)
 }
 
 func TestAggEndpoint(t *testing.T) {
 	srv, _, x := newTestServer(t, Options{})
-	body := getJSON(t, srv.URL+"/agg?f=avg&rows=0:50&cols=0:30", http.StatusOK)
+	body := postJSON(t, srv.URL+"/v1/aggregate", `{"f":"avg","rows":"0:50","cols":"0:30"}`, http.StatusOK)
 	got := body["value"].(float64)
 	want, err := query.EvaluateMatrix(x, query.Avg,
 		query.Selection{Rows: query.All(50), Cols: query.All(30)})
@@ -189,7 +205,7 @@ func TestAggEndpoint(t *testing.T) {
 		t.Errorf("selection sizes echoed wrong: %v", body)
 	}
 	// Default f and default selections (all rows/cols).
-	all := getJSON(t, srv.URL+"/agg", http.StatusOK)
+	all := postJSON(t, srv.URL+"/v1/aggregate", `{}`, http.StatusOK)
 	if all["f"] != "avg" {
 		t.Errorf("default f = %v", all["f"])
 	}
@@ -197,18 +213,18 @@ func TestAggEndpoint(t *testing.T) {
 		t.Errorf("default selection = %v×%v", all["rows"], all["cols"])
 	}
 	// Errors: unknown aggregate, inverted range, garbage, negatives.
-	getJSON(t, srv.URL+"/agg?f=median", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/agg?rows=9:1", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/agg?cols=zzz", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/agg?rows=-3", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/agg?rows=0:10&cols=999:1000", http.StatusBadRequest)
+	postJSON(t, srv.URL+"/v1/aggregate", `{"f":"median"}`, http.StatusBadRequest)
+	postJSON(t, srv.URL+"/v1/aggregate", `{"rows":"9:1"}`, http.StatusBadRequest)
+	postJSON(t, srv.URL+"/v1/aggregate", `{"cols":"zzz"}`, http.StatusBadRequest)
+	postJSON(t, srv.URL+"/v1/aggregate", `{"rows":"-3"}`, http.StatusBadRequest)
+	postJSON(t, srv.URL+"/v1/aggregate", `{"rows":"0:10","cols":"999:1000"}`, http.StatusBadRequest)
 }
 
 // TestEmptySelectionIs400 pins the satellite fix: an empty (but
 // syntactically valid) selection maps to 400, not 500.
 func TestEmptySelectionIs400(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
-	body := getJSON(t, srv.URL+"/agg?rows=5:5", http.StatusBadRequest)
+	body := postJSON(t, srv.URL+"/v1/aggregate", `{"rows":"5:5"}`, http.StatusBadRequest)
 	if !strings.Contains(errMessage(t, body), "empty selection") {
 		t.Errorf("error = %v, want mention of empty selection", body["error"])
 	}
@@ -216,7 +232,7 @@ func TestEmptySelectionIs400(t *testing.T) {
 
 func TestCountAggExact(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
-	body := getJSON(t, srv.URL+"/agg?f=count&rows=0:10&cols=0:10", http.StatusOK)
+	body := postJSON(t, srv.URL+"/v1/aggregate", `{"f":"count","rows":"0:10","cols":"0:10"}`, http.StatusOK)
 	if body["value"].(float64) != 100 {
 		t.Errorf("count = %v", body["value"])
 	}
@@ -231,19 +247,19 @@ func TestCellByLabelEndpoint(t *testing.T) {
 	labels := &store.Labels{Rows: dataset.ToyRowLabels, Cols: dataset.ToyColLabels}
 	srv := httptest.NewServer(NewHandler(st, labels, Options{}))
 	defer srv.Close()
-	body := getJSON(t, srv.URL+"/cell?row=KLM+Co.&col=We", http.StatusOK)
+	body := getJSON(t, srv.URL+"/v1/cell?row=KLM+Co.&col=We", http.StatusOK)
 	if v := body["value"].(float64); math.Abs(v-x.At(3, 0)) > 1e-6 {
 		t.Errorf("KLM/We = %v, want %v", v, x.At(3, 0))
 	}
-	getJSON(t, srv.URL+"/cell?row=Nobody&col=We", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/cell?row=KLM+Co.&col=Zz", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cell?row=Nobody&col=We", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cell?row=KLM+Co.&col=Zz", http.StatusBadRequest)
 }
 
-// TestMethodNotAllowed pins the satellite fix: non-GET verbs get 405 with
-// an Allow header on every endpoint.
+// TestMethodNotAllowed: non-GET verbs get 405 with an Allow header on
+// every read endpoint.
 func TestMethodNotAllowed(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
-	for _, path := range []string{"/info", "/cell", "/cells", "/row", "/rows", "/agg", "/metrics", "/healthz"} {
+	for _, path := range []string{"/v1/info", "/v1/cell", "/v1/cells", "/v1/row", "/v1/rows", "/v1/metrics", "/v1/healthz"} {
 		for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete, http.MethodHead} {
 			req, err := http.NewRequest(method, srv.URL+path, nil)
 			if err != nil {
@@ -282,25 +298,25 @@ func TestNonFiniteValues(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(fs, nil, Options{}))
 	defer srv.Close()
 
-	body := getJSON(t, srv.URL+"/cell?i=0&j=0", http.StatusOK)
+	body := getJSON(t, srv.URL+"/v1/cell?i=0&j=0", http.StatusOK)
 	if body["value"] != nil || body["nonfinite"] != "NaN" {
 		t.Errorf("NaN cell: %v", body)
 	}
-	body = getJSON(t, srv.URL+"/cell?i=0&j=1", http.StatusOK)
+	body = getJSON(t, srv.URL+"/v1/cell?i=0&j=1", http.StatusOK)
 	if body["value"] != nil || body["nonfinite"] != "+Inf" {
 		t.Errorf("+Inf cell: %v", body)
 	}
-	body = getJSON(t, srv.URL+"/cell?i=0&j=2", http.StatusOK)
+	body = getJSON(t, srv.URL+"/v1/cell?i=0&j=2", http.StatusOK)
 	if body["value"] != nil || body["nonfinite"] != "-Inf" {
 		t.Errorf("-Inf cell: %v", body)
 	}
 	// A finite cell has no marker.
-	body = getJSON(t, srv.URL+"/cell?i=1&j=1", http.StatusOK)
+	body = getJSON(t, srv.URL+"/v1/cell?i=1&j=1", http.StatusOK)
 	if _, marked := body["nonfinite"]; marked {
 		t.Errorf("finite cell carries marker: %v", body)
 	}
 	// Rows map non-finite cells to null and count them.
-	body = getJSON(t, srv.URL+"/row?i=0", http.StatusOK)
+	body = getJSON(t, srv.URL+"/v1/row?i=0", http.StatusOK)
 	vals := body["values"].([]interface{})
 	if vals[0] != nil || vals[1] != nil || vals[2] != nil || vals[3] == nil {
 		t.Errorf("row values = %v", vals)
@@ -309,7 +325,7 @@ func TestNonFiniteValues(t *testing.T) {
 		t.Errorf("nonfinite count = %v, want 3", body["nonfinite"])
 	}
 	// NaN aggregates: avg over a NaN cell is NaN → null + marker, 200.
-	body = getJSON(t, srv.URL+"/agg?f=avg&rows=0:1&cols=0:1", http.StatusOK)
+	body = postJSON(t, srv.URL+"/v1/aggregate", `{"f":"avg","rows":"0:1","cols":"0:1"}`, http.StatusOK)
 	if body["value"] != nil || body["nonfinite"] != "NaN" {
 		t.Errorf("NaN agg: %v", body)
 	}
@@ -317,7 +333,7 @@ func TestNonFiniteValues(t *testing.T) {
 
 func TestCellsBatchEndpoint(t *testing.T) {
 	srv, _, x := newTestServer(t, Options{})
-	body := getJSON(t, srv.URL+"/cells?at=5:100,5:101&at=6:100", http.StatusOK)
+	body := getJSON(t, srv.URL+"/v1/cells?at=5:100,5:101&at=6:100", http.StatusOK)
 	if body["count"].(float64) != 3 {
 		t.Fatalf("count = %v", body["count"])
 	}
@@ -330,16 +346,16 @@ func TestCellsBatchEndpoint(t *testing.T) {
 		t.Errorf("first cell value %v vs actual %v", v, x.At(5, 100))
 	}
 	// Errors.
-	getJSON(t, srv.URL+"/cells", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/cells?at=5", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/cells?at=a:b", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/cells?at=99999:0", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cells", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cells?at=5", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cells?at=a:b", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cells?at=99999:0", http.StatusBadRequest)
 }
 
 func TestCellsBatchLimit(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{MaxBatchCells: 2})
-	getJSON(t, srv.URL+"/cells?at=0:0,0:1", http.StatusOK)
-	body := getJSON(t, srv.URL+"/cells?at=0:0,0:1,0:2", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/cells?at=0:0,0:1", http.StatusOK)
+	body := getJSON(t, srv.URL+"/v1/cells?at=0:0,0:1,0:2", http.StatusBadRequest)
 	if !strings.Contains(errMessage(t, body), "exceeds limit") {
 		t.Errorf("error = %v", body["error"])
 	}
@@ -347,7 +363,7 @@ func TestCellsBatchLimit(t *testing.T) {
 
 func TestRowsBatchEndpoint(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
-	body := getJSON(t, srv.URL+"/rows?i=0:3,7", http.StatusOK)
+	body := getJSON(t, srv.URL+"/v1/rows?i=0:3,7", http.StatusOK)
 	if body["count"].(float64) != 4 {
 		t.Fatalf("count = %v", body["count"])
 	}
@@ -360,16 +376,16 @@ func TestRowsBatchEndpoint(t *testing.T) {
 		t.Errorf("row length %d", len(last["values"].([]interface{})))
 	}
 	// Errors: missing spec, empty spec, negative, out of range, over limit.
-	getJSON(t, srv.URL+"/rows", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/rows?i=4:4", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/rows?i=-1", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/rows?i=99999", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/rows", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/rows?i=4:4", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/rows?i=-1", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/rows?i=99999", http.StatusBadRequest)
 }
 
 func TestRowsBatchLimit(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{MaxBatchRows: 3})
-	getJSON(t, srv.URL+"/rows?i=0:3", http.StatusOK)
-	body := getJSON(t, srv.URL+"/rows?i=0:4", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/v1/rows?i=0:3", http.StatusOK)
+	body := getJSON(t, srv.URL+"/v1/rows?i=0:4", http.StatusBadRequest)
 	if !strings.Contains(errMessage(t, body), "exceeds limit") {
 		t.Errorf("error = %v", body["error"])
 	}
@@ -378,20 +394,20 @@ func TestRowsBatchLimit(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{CacheRows: 64})
 	// Generate some traffic first: hits, misses, an error.
-	getJSON(t, srv.URL+"/cell?i=5&j=100", http.StatusOK)
-	getJSON(t, srv.URL+"/cell?i=5&j=101", http.StatusOK)
-	getJSON(t, srv.URL+"/cell?i=99999&j=0", http.StatusBadRequest)
-	getJSON(t, srv.URL+"/agg?f=sum&rows=0:10&cols=0:10", http.StatusOK)
+	getJSON(t, srv.URL+"/v1/cell?i=5&j=100", http.StatusOK)
+	getJSON(t, srv.URL+"/v1/cell?i=5&j=101", http.StatusOK)
+	getJSON(t, srv.URL+"/v1/cell?i=99999&j=0", http.StatusBadRequest)
+	postJSON(t, srv.URL+"/v1/aggregate", `{"f":"sum","rows":"0:10","cols":"0:10"}`, http.StatusOK)
 
-	body := getJSON(t, srv.URL+"/metrics", http.StatusOK)
+	body := getJSON(t, srv.URL+"/v1/metrics", http.StatusOK)
 	eps := body["endpoints"].(map[string]interface{})
-	cell := eps["/cell"].(map[string]interface{})
+	cell := eps["/v1/cell"].(map[string]interface{})
 	if cell["requests"].(float64) != 3 || cell["errors"].(float64) != 1 {
-		t.Errorf("/cell endpoint metrics: %v", cell)
+		t.Errorf("/v1/cell endpoint metrics: %v", cell)
 	}
 	lat := cell["latency"].(map[string]interface{})
 	if lat["count"].(float64) != 3 || lat["p50_ms"].(float64) < 0 {
-		t.Errorf("/cell latency: %v", lat)
+		t.Errorf("/v1/cell latency: %v", lat)
 	}
 	if _, ok := lat["buckets"]; !ok {
 		t.Errorf("latency histogram has no buckets: %v", lat)
@@ -432,7 +448,7 @@ func TestMetricsOneAccessPerCell(t *testing.T) {
 	us.Reset()
 	const n = 17
 	for i := 0; i < n; i++ {
-		getJSON(t, fmt.Sprintf("%s/cell?i=%d&j=%d", srv.URL, i, i*3), http.StatusOK)
+		getJSON(t, fmt.Sprintf("%s/v1/cell?i=%d&j=%d", srv.URL, i, i*3), http.StatusOK)
 	}
 	if got := us.Snapshot().RowReads; got != n {
 		t.Errorf("%d cell queries cost %d U-row reads, want exactly %d", n, got, n)
@@ -441,7 +457,7 @@ func TestMetricsOneAccessPerCell(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
-	body := getJSON(t, srv.URL+"/healthz", http.StatusOK)
+	body := getJSON(t, srv.URL+"/v1/healthz", http.StatusOK)
 	if body["status"] != "ok" {
 		t.Errorf("healthz: %v", body)
 	}
@@ -459,9 +475,9 @@ func TestCacheServesRepeatedRows(t *testing.T) {
 	psrv := httptest.NewServer(plain)
 	defer psrv.Close()
 
-	want := getJSON(t, psrv.URL+"/row?i=9", http.StatusOK)
+	want := getJSON(t, psrv.URL+"/v1/row?i=9", http.StatusOK)
 	for range [3]int{} {
-		got := getJSON(t, csrv.URL+"/row?i=9", http.StatusOK)
+		got := getJSON(t, csrv.URL+"/v1/row?i=9", http.StatusOK)
 		if fmt.Sprint(got["values"]) != fmt.Sprint(want["values"]) {
 			t.Fatal("cached row differs from uncached row")
 		}
@@ -496,62 +512,20 @@ func TestCorruptStoreReturns503(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(cs, nil, Options{}))
 	defer srv.Close()
 
-	body := getJSON(t, srv.URL+"/cell?i=0&j=0", http.StatusServiceUnavailable)
+	body := getJSON(t, srv.URL+"/v1/cell?i=0&j=0", http.StatusServiceUnavailable)
 	if !strings.Contains(errMessage(t, body), "checksum") {
 		t.Errorf("error = %v", body["error"])
 	}
-	getJSON(t, srv.URL+"/row?i=1", http.StatusServiceUnavailable)
+	getJSON(t, srv.URL+"/v1/row?i=1", http.StatusServiceUnavailable)
 	getJSON(t, srv.URL+"/v1/row?i=1", http.StatusServiceUnavailable)
 
 	// Health and metadata endpoints stay up: corruption is not an outage.
-	getJSON(t, srv.URL+"/healthz", http.StatusOK)
-	getJSON(t, srv.URL+"/info", http.StatusOK)
+	getJSON(t, srv.URL+"/v1/healthz", http.StatusOK)
+	getJSON(t, srv.URL+"/v1/info", http.StatusOK)
 
-	metrics := getJSON(t, srv.URL+"/metrics", http.StatusOK)
+	metrics := getJSON(t, srv.URL+"/v1/metrics", http.StatusOK)
 	if n := metrics["store_corruptions"].(float64); n != 3 {
 		t.Errorf("store_corruptions = %v, want 3", n)
-	}
-}
-
-// TestV1PathsAndDeprecationHeaders pins the API-versioning satellite: every
-// endpoint is served under /v1/, the legacy alias still works but is marked
-// with Deprecation and Link headers, and the /v1/ path carries neither.
-func TestV1PathsAndDeprecationHeaders(t *testing.T) {
-	srv, _, _ := newTestServer(t, Options{})
-	for _, ep := range []string{"info", "healthz", "metrics"} {
-		legacy, err := http.Get(srv.URL + "/" + ep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy.Body.Close()
-		if legacy.StatusCode != http.StatusOK {
-			t.Errorf("/%s: status %d", ep, legacy.StatusCode)
-		}
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("/%s: no Deprecation header", ep)
-		}
-		wantLink := fmt.Sprintf("</v1/%s>; rel=\"successor-version\"", ep)
-		if got := legacy.Header.Get("Link"); got != wantLink {
-			t.Errorf("/%s: Link = %q, want %q", ep, got, wantLink)
-		}
-
-		v1, err := http.Get(srv.URL + "/v1/" + ep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1.Body.Close()
-		if v1.StatusCode != http.StatusOK {
-			t.Errorf("/v1/%s: status %d", ep, v1.StatusCode)
-		}
-		if v1.Header.Get("Deprecation") != "" || v1.Header.Get("Link") != "" {
-			t.Errorf("/v1/%s: carries deprecation headers", ep)
-		}
-	}
-	// Value parity across the alias.
-	legacy := getJSON(t, srv.URL+"/cell?i=5&j=100", http.StatusOK)
-	v1 := getJSON(t, srv.URL+"/v1/cell?i=5&j=100", http.StatusOK)
-	if legacy["value"] != v1["value"] {
-		t.Errorf("alias value %v != v1 value %v", legacy["value"], v1["value"])
 	}
 }
 
@@ -561,12 +535,12 @@ func TestV1PathsAndDeprecationHeaders(t *testing.T) {
 func TestCancelledRequestIs499(t *testing.T) {
 	srv, h, _ := newTestServer(t, Options{})
 	_ = srv
-	req := httptest.NewRequest(http.MethodGet, "/v1/agg?f=avg", nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/aggregate", strings.NewReader(`{"f":"avg"}`))
 	ctx, cancel := context.WithCancel(req.Context())
 	cancel() // already gone before the query starts
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req.WithContext(ctx))
-	if rec.Code != StatusClientClosedRequest {
-		t.Errorf("cancelled /agg: status %d, want %d", rec.Code, StatusClientClosedRequest)
+	if rec.Code != api.StatusClientClosedRequest {
+		t.Errorf("cancelled /v1/aggregate: status %d, want %d", rec.Code, api.StatusClientClosedRequest)
 	}
 }

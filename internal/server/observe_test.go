@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"seqstore/internal/api"
 	"seqstore/internal/telemetry"
 )
 
@@ -24,7 +25,18 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // get issues a GET and returns the response with its body read.
 func get(t *testing.T, url string, hdr map[string]string) (*http.Response, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	return send(t, http.MethodGet, url, "", hdr)
+}
+
+// post issues a JSON POST and returns the response with its body read.
+func post(t *testing.T, url, body string, hdr map[string]string) (*http.Response, []byte) {
+	t.Helper()
+	return send(t, http.MethodPost, url, body, hdr)
+}
+
+func send(t *testing.T, method, url, body string, hdr map[string]string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +48,11 @@ func get(t *testing.T, url string, hdr map[string]string) (*http.Response, []byt
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	out, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp, body
+	return resp, out
 }
 
 // TestCostHeaderColdWarm pins the paper's one-access claim live over HTTP:
@@ -102,7 +114,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{QueryWorkers: 4})
 
 	const id = "obs-test.request-42"
-	resp, _ := get(t, srv.URL+"/v1/agg?f=sum", map[string]string{"X-Request-Id": id})
+	resp, _ := post(t, srv.URL+"/v1/aggregate", `{"f":"sum"}`, map[string]string{"X-Request-Id": id})
 	if got := resp.Header.Get("X-Request-Id"); got != id {
 		t.Errorf("X-Request-Id = %q, want echo of %q", got, id)
 	}
@@ -135,7 +147,7 @@ func TestRequestIDPropagation(t *testing.T) {
 			continue
 		}
 		found = true
-		if tr.Name != "/v1/agg" {
+		if tr.Name != "/v1/aggregate" {
 			t.Errorf("trace name = %q", tr.Name)
 		}
 		// The ledger was fed from inside the query workers: the client's
@@ -174,7 +186,7 @@ func TestTracesRedaction(t *testing.T) {
 	if strings.Contains(s, "?") {
 		t.Error("trace output contains a raw query string")
 	}
-	if strings.Contains(s, `"name":"`+tracesPattern+`"`) {
+	if strings.Contains(s, `"name":"`+api.TracesPattern+`"`) {
 		t.Error("traces endpoint recorded itself in the ring")
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"seqstore/internal/seqerr"
@@ -29,8 +31,8 @@ type Config struct {
 	// PlanCacheSize sizes the query-plan cache; 0 selects
 	// DefaultPlanCacheSize, negative disables it.
 	PlanCacheSize int
-	// QueryWorkers shards /agg evaluation across this many goroutines:
-	// 0 means one per CPU, 1 evaluates serially.
+	// QueryWorkers shards aggregate evaluation across this many
+	// goroutines: 0 means one per CPU, 1 evaluates serially.
 	QueryWorkers int
 	// Logger receives the structured request log; nil silences it.
 	Logger *slog.Logger
@@ -163,20 +165,64 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // drain that exceeds the timeout returns the shutdown error with any
 // still-open connections force-closed.
 func (s *Server) Run(ctx context.Context, l net.Listener) error {
+	return RunHTTP(ctx, s.http, l, s.cfg.ShutdownTimeout)
+}
+
+// RunHTTP serves hs on l until ctx is cancelled, then drains in-flight
+// requests for up to drain before returning — the serve loop of every
+// process speaking the /v1 contract. A clean drain returns nil; a drain
+// that exceeds the timeout force-closes the remaining connections and
+// returns the shutdown error.
+func RunHTTP(ctx context.Context, hs *http.Server, l net.Listener, drain time.Duration) error {
 	errc := make(chan error, 1)
-	go func() { errc <- s.Serve(l) }()
+	go func() {
+		err := hs.Serve(l)
+		if err == http.ErrServerClosed {
+			err = nil
+		}
+		errc <- err
+	}()
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	if err := s.http.Shutdown(sctx); err != nil {
-		s.http.Close()
+	if err := hs.Shutdown(sctx); err != nil {
+		hs.Close()
 		return fmt.Errorf("server: shutdown: %w", err)
 	}
 	return <-errc
+}
+
+// NewLogger builds a process logger writing to w from the -log-format and
+// -log-level flag values: "json" (one object per line, machine-shippable;
+// the default) or "text" (human-readable), at debug, info (the default),
+// warn or error.
+func NewLogger(w io.Writer, format, level string) (*slog.Logger, error) {
+	var lv slog.Level
+	switch strings.ToLower(level) {
+	case "debug":
+		lv = slog.LevelDebug
+	case "info", "":
+		lv = slog.LevelInfo
+	case "warn":
+		lv = slog.LevelWarn
+	case "error":
+		lv = slog.LevelError
+	default:
+		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
+	}
+	opts := &slog.HandlerOptions{Level: lv}
+	switch strings.ToLower(format) {
+	case "json", "":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
+	case "text":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
+	default:
+		return nil, fmt.Errorf("unknown -log-format %q (want json|text)", format)
+	}
 }
 
 // Open loads a compressed .sqz store and its labels for serving — the

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,7 +62,7 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	}
 	resc := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(base + "/row?i=1")
+		resp, err := http.Get(base + "/v1/row?i=1")
 		if err != nil {
 			resc <- result{err: err}
 			return
@@ -93,7 +95,7 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	}
 	// The listener is closed: new connections must fail.
 	c := http.Client{Timeout: time.Second}
-	if _, err := c.Get(base + "/healthz"); err == nil {
+	if _, err := c.Get(base + "/v1/healthz"); err == nil {
 		t.Error("server still accepting connections after shutdown")
 	}
 }
@@ -165,8 +167,9 @@ func fileBackedStore(t *testing.T) *svd.Store {
 	return st
 }
 
-// TestConcurrentQueriesFileBacked hammers /cell, /row, /agg and /metrics
-// concurrently against a File-backed store with the row cache enabled.
+// TestConcurrentQueriesFileBacked hammers /v1/cell, /v1/row, /v1/aggregate
+// and /v1/metrics concurrently against a File-backed store with the row
+// cache enabled.
 // Run under -race (make check does) it proves the serving hot path — the
 // sharded cache, the telemetry counters, and the matio stats — is
 // data-race free over a real disk-resident U.
@@ -186,27 +189,34 @@ func TestConcurrentQueriesFileBacked(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for it := 0; it < perWorker; it++ {
-				var url string
+				var url, body string
 				switch it % 4 {
 				case 0:
-					url = fmt.Sprintf("%s/cell?i=%d&j=%d", srv.URL, rng.Intn(n), rng.Intn(m))
+					url = fmt.Sprintf("%s/v1/cell?i=%d&j=%d", srv.URL, rng.Intn(n), rng.Intn(m))
 				case 1:
-					url = fmt.Sprintf("%s/row?i=%d", srv.URL, rng.Intn(n))
+					url = fmt.Sprintf("%s/v1/row?i=%d", srv.URL, rng.Intn(n))
 				case 2:
 					lo := rng.Intn(n - 1)
-					url = fmt.Sprintf("%s/agg?f=sum&rows=%d:%d&cols=0:20", srv.URL, lo, lo+1+rng.Intn(n-lo-1))
+					url = srv.URL + "/v1/aggregate"
+					body = fmt.Sprintf(`{"f":"sum","rows":"%d:%d","cols":"0:20"}`, lo, lo+1+rng.Intn(n-lo-1))
 				case 3:
-					url = srv.URL + "/metrics"
+					url = srv.URL + "/v1/metrics"
 				}
-				resp, err := http.Get(url)
+				var resp *http.Response
+				var err error
+				if body != "" {
+					resp, err = http.Post(url, "application/json", strings.NewReader(body))
+				} else {
+					resp, err = http.Get(url)
+				}
 				if err != nil {
-					t.Errorf("GET %s: %v", url, err)
+					t.Errorf("%s %s: %v", url, body, err)
 					return
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					t.Errorf("GET %s: status %d", url, resp.StatusCode)
+					t.Errorf("%s %s: status %d", url, body, resp.StatusCode)
 					return
 				}
 			}
@@ -221,9 +231,50 @@ func TestConcurrentQueriesFileBacked(t *testing.T) {
 	if size > capacity {
 		t.Errorf("cache size %d exceeds capacity %d", size, capacity)
 	}
-	// Every reconstruction (cache miss or /agg row scan) is exactly one
+	// Every reconstruction (cache miss or aggregate row scan) is exactly one
 	// U-row read; cache hits cost zero. The counters must be consistent.
 	if us := st.UStats(); us.Snapshot().RowReads == 0 {
 		t.Error("no U-row reads recorded under load")
+	}
+}
+
+// TestNewLogger pins the -log-format/-log-level parsing both commands
+// share: case-insensitive names, empty values defaulting to json and info,
+// and a named error for each unknown value.
+func TestNewLogger(t *testing.T) {
+	for _, c := range []struct {
+		format, level string
+		wantJSON      bool
+		debug, info   bool
+		err           string
+	}{
+		{format: "json", level: "info", wantJSON: true, info: true},
+		{format: "", level: "", wantJSON: true, info: true},
+		{format: "TEXT", level: "Debug", debug: true, info: true},
+		{format: "text", level: "warn"},
+		{format: "json", level: "error", wantJSON: true},
+		{format: "json", level: "verbose", err: `unknown -log-level "verbose" (want debug|info|warn|error)`},
+		{format: "xml", level: "info", err: `unknown -log-format "xml" (want json|text)`},
+	} {
+		var buf strings.Builder
+		logger, err := NewLogger(&buf, c.format, c.level)
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("NewLogger(%q, %q) error = %v, want %q", c.format, c.level, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("NewLogger(%q, %q): %v", c.format, c.level, err)
+		}
+		ctx := context.Background()
+		if logger.Enabled(ctx, slog.LevelDebug) != c.debug || logger.Enabled(ctx, slog.LevelInfo) != c.info ||
+			!logger.Enabled(ctx, slog.LevelError) {
+			t.Errorf("NewLogger(%q, %q): wrong level", c.format, c.level)
+		}
+		logger.Error("probe")
+		if isJSON := strings.HasPrefix(buf.String(), "{"); isJSON != c.wantJSON {
+			t.Errorf("NewLogger(%q, %q) wrote %q", c.format, c.level, buf.String())
+		}
 	}
 }
